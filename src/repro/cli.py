@@ -34,7 +34,6 @@ from .aging import balance_case, worst_case
 from .cells import default_library
 from .core import AgingApproximationLibrary, characterize, remove_guardband
 from .core import cache as cache_mod
-from .core import instrument
 from .core import specs as specs_mod
 from .core.adaptive import plan_graceful_degradation
 from .core.parallel import resolve_jobs
@@ -46,10 +45,10 @@ from .obs import slo as obs_slo
 from .obs import trace as obs_trace
 from .netlist.netlist import NetlistError
 from .report import (characterization_report, flow_report_text,
-                     inject_report_text, instrumentation_report_text,
-                     mc_report_text, metrics_report_text,
-                     schedule_report_text, screen_report,
-                     timing_report_text, verify_report_text)
+                     inject_report_text, mc_report_text,
+                     metrics_report_text, schedule_report_text,
+                     screen_report, timing_report_text, timings_report_text,
+                     verify_report_text)
 from .rtl import (fir_microarchitecture, dct_microarchitecture,
                   idct_microarchitecture)
 
@@ -120,10 +119,12 @@ def _manifest_config(args):
 def _engine(args):
     """Observability + cache scope shared by every subcommand.
 
-    Applies ``--cache-dir`` and ``--log-level``, collects per-stage
-    timings (``--timings``), captures a span tree when ``--trace`` or
-    a manifest is requested, scopes a fresh metrics registry, and on
-    exit writes the ``--trace`` / ``--metrics`` / ``--manifest``
+    Applies ``--cache-dir`` and ``--log-level``, scopes a fresh
+    metrics registry, captures a span tree when ``--trace``,
+    ``--metrics``, ``--manifest`` or ``--timings`` asks for one (and
+    only then: a long-lived ``repro serve`` would otherwise grow its
+    tree without bound), and on exit prints the ``--timings`` report
+    and writes the ``--trace`` / ``--metrics`` / ``--manifest``
     artifacts.
     """
     try:
@@ -140,7 +141,9 @@ def _engine(args):
         # A trace/metrics request implies provenance: derive a path.
         manifest_path = obs_manifest.default_manifest_path(metrics_path,
                                                            trace_path)
-    tracing = trace_path is not None or manifest_path is not None
+    timings = getattr(args, "timings", False)
+    tracing = (trace_path is not None or manifest_path is not None
+               or timings)
     cache_dir = getattr(args, "cache_dir", None)
     if cache_dir and not os.path.isdir(cache_dir):
         raise SystemExit("cache directory %r does not exist "
@@ -165,22 +168,22 @@ def _engine(args):
             with capture:
                 with obs_trace.span("cli." + args.command,
                                     command=args.command):
-                    with instrument.collect() as instr:
-                        if profile_path:
-                            from .obs.profile import SamplingProfiler
-                            profiler = SamplingProfiler(registry=registry)
-                            profiler.start()
-                        try:
-                            yield
-                        finally:
-                            if profiler is not None:
-                                profiler.stop()
+                    if profile_path:
+                        from .obs.profile import SamplingProfiler
+                        profiler = SamplingProfiler(registry=registry)
+                        profiler.start()
+                    try:
+                        yield
+                    finally:
+                        if profiler is not None:
+                            profiler.stop()
             duration = time.perf_counter() - start
             snapshot = registry.snapshot()
-        if getattr(args, "timings", False):
+        totals = tracer.totals()
+        if timings:
             print()
-            print(instrumentation_report_text(
-                instr, cache.stats if cache is not None else None))
+            print(timings_report_text(
+                totals, cache.stats if cache is not None else None))
             print()
             print(metrics_report_text(snapshot))
         if trace_path:
@@ -207,7 +210,7 @@ def _engine(args):
                 "repro-aging " + args.command,
                 config=_manifest_config(args),
                 library=default_library(),
-                stages=instr.summary()["stages"],
+                stages=totals,
                 metrics=snapshot,
                 duration_s=duration,
                 extra={"cache_stats": cache.stats.as_dict()
@@ -226,8 +229,7 @@ def cmd_characterize(args):
         scenarios = _scenarios(args.years, args.stress)
         entry = characterize(component, lib, scenarios=scenarios,
                              precisions=sweep, effort=args.effort,
-                             jobs=args.jobs, sta=args.sta,
-                             synth=args.synth)
+                             jobs=args.jobs)
         print(characterization_report(entry))
         if args.screen:
             from .core.characterize import truncation_screen
@@ -252,13 +254,10 @@ def cmd_timing(args):
     lib = default_library()
     component = _component(args)
     with _engine(args):
-        with instrument.current().stage(instrument.STAGE_SYNTHESIZE):
-            netlist = synthesize(component, lib,
-                                 effort=args.effort).netlist
+        netlist = synthesize(component, lib, effort=args.effort).netlist
         scenarios = [(worst_case if args.stress == "worst"
                       else balance_case)(years) for years in args.years]
-        with instrument.current().stage(instrument.STAGE_STA):
-            batch = analyze_batch(netlist, lib, [None] + scenarios)
+        batch = analyze_batch(netlist, lib, [None] + scenarios)
         fresh = batch.report(0)
         print(timing_report_text(netlist, lib, fresh))
         for idx, scenario in enumerate(scenarios, start=1):
@@ -309,9 +308,7 @@ def cmd_export(args):
     if not (args.verilog or args.sdf):
         raise SystemExit("nothing to export: pass --verilog and/or --sdf")
     with _engine(args):
-        with instrument.current().stage(instrument.STAGE_SYNTHESIZE):
-            netlist = synthesize_netlist(component, lib,
-                                         effort=args.effort)
+        netlist = synthesize_netlist(component, lib, effort=args.effort)
         wrote = []
         if args.verilog:
             with open(args.verilog, "w") as handle:
@@ -502,7 +499,8 @@ def build_parser():
                        help="characterization result cache directory "
                             "(default: $REPRO_CACHE_DIR, else disabled)")
         p.add_argument("--timings", action="store_true",
-                       help="print per-stage timing and cache statistics")
+                       help="print per-span timing, cache and metric "
+                            "statistics")
         p.add_argument("--trace", default=None, metavar="PATH",
                        help="write a span trace of the run: Chrome trace "
                             "JSON (chrome://tracing / Perfetto), or flat "
@@ -536,15 +534,6 @@ def build_parser():
     p.add_argument("--output", help="approximation-library JSON to write")
     p.add_argument("--update", action="store_true",
                    help="merge into an existing JSON library")
-    p.add_argument("--synth", choices=("sweep", "scratch"),
-                   default="sweep",
-                   help="variant synthesis strategy: one base synthesis "
-                        "per worker with cone-restricted derivation "
-                        "(sweep, default) or independent per-point "
-                        "synthesis (scratch); bit-identical results")
-    p.add_argument("--sta", choices=("batched", "scalar"),
-                   default="batched",
-                   help="STA engine for the sweep (default batched)")
     p.add_argument("--screen", action="store_true",
                    help="also print the fast incremental-STA truncation "
                         "screen (one netlist, no re-synthesis)")

@@ -44,7 +44,6 @@ from contextlib import contextmanager
 import numpy as np
 
 from ..obs import logs, metrics as obs_metrics
-from . import instrument
 
 _log = logs.get_logger("core.cache")
 
@@ -577,13 +576,11 @@ def synthesize_netlist_memoized(component, library, effort="ultra"):
            library_fingerprint(library))
     netlist = _netlist_memo.get(key)
     if netlist is not None:
-        instrument.current().count(instrument.COUNT_NETLIST_MEMO_HITS)
         obs_metrics.inc(obs_metrics.NETLIST_MEMO_HITS)
         return netlist
     if len(_netlist_memo) >= _NETLIST_MEMO_LIMIT:
         _netlist_memo.clear()
-    with instrument.current().stage(instrument.STAGE_SYNTHESIZE):
-        netlist = synthesize_netlist(component, library, effort=effort)
+    netlist = synthesize_netlist(component, library, effort=effort)
     _netlist_memo[key] = netlist
     return netlist
 

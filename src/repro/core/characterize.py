@@ -19,8 +19,13 @@ annotations.
 The sweep itself runs through the characterization engine: every
 ``(precision, scenarios)`` point is an independent task that consults
 the content-addressed result cache (:mod:`repro.core.cache`), records
-per-stage timings (:mod:`repro.core.instrument`), and can fan out over
-a process pool (:mod:`repro.core.parallel`, ``jobs=1`` serial default).
+its spans and metrics (:mod:`repro.obs`), and can fan out over a
+process pool (:mod:`repro.core.parallel`, ``jobs=1`` serial default).
+Each point synthesizes its variant by cone-restricted replay from one
+memoized full-precision base and analyzes every aged corner in one
+batched STA pass. The serial, uncached, from-scratch reference these
+must match exactly is
+:func:`repro.verify.oracles.reference_characterize`.
 """
 
 from dataclasses import dataclass, field
@@ -32,12 +37,10 @@ from ..obs import logs, metrics as obs_metrics, trace as obs_trace
 from ..sim.activity import extract_stress, operand_stream_bits
 from ..sta.engine import (analyze_batch, analyze_incremental,
                           truncated_input_nets)
-from ..sta.sta import critical_path_delay
 from ..synth.synthesize import synthesize
 from ..synth.sweep import synthesize_variant
 from ..sta.paths import logic_depth
 from . import cache as cache_mod
-from . import instrument
 from .parallel import map_tasks, resolve_jobs
 
 _log = logs.get_logger("core.characterize")
@@ -229,16 +232,23 @@ def component_key(component):
     return "%s_w%d" % (component.family, component.width)
 
 
+def sweep_precisions(width, precisions=None):
+    """Descending, de-duplicated precision sweep; default
+    ``width .. width-12`` (never below 1)."""
+    if precisions is None:
+        precisions = range(width, max(width - 12, 1) - 1, -1)
+    return sorted(set(precisions), reverse=True)
+
+
 def _characterize_point(task):
     """Characterize one ``(component, precision)`` point.
 
     Module-level so the process-pool path can pickle it; ``jobs=1`` runs
     it inline. Consults the on-disk cache when a root is given and
-    reports its own stage timings, cache accounting, span tree and
-    metric snapshot back to the parent (workers cannot share the
-    parent's ambient collectors): the returned ``"trace"`` /
-    ``"metrics"`` entries are re-parented / merged by
-    :func:`characterize`. A ``"trace"`` propagation context in the task
+    reports its own cache accounting, span tree and metric snapshot
+    back to the parent (workers cannot share the parent's ambient
+    collectors): the returned ``"trace"`` / ``"obs_metrics"`` entries
+    are re-parented / merged by :func:`characterize`. A ``"trace"`` propagation context in the task
     (stamped by :mod:`repro.core.parallel` or the serve layer) stitches
     this worker's spans into the submitting trace by identity.
     """
@@ -266,11 +276,7 @@ def _characterize_point_inner(task, point_span):
     scenarios = task["scenarios"]        # [(spec, label, fingerprint)]
     key = task["key"]
     cache_root = task["cache_root"]
-    engine = task.get("engine", "packed")
-    sta = task.get("sta", "batched")
-    synth = task.get("synth", "sweep")
 
-    instr = instrument.Instrumentation()
     store = (cache_mod.CharacterizationCache(
         cache_root, shards=task.get("cache_shards", 0))
         if cache_root else None)
@@ -278,13 +284,11 @@ def _characterize_point_inner(task, point_span):
     if entry is not None \
             and all(fp in entry["aged"] for __s, __l, fp in scenarios):
         # Full hit: every requested scenario already characterized.
-        instr.count(instrument.COUNT_CACHE_HITS)
         point_span.attrs["cache"] = "hit"
         metrics = entry["metrics"]
         aged = [(label, entry["aged"][fp]["delay_ps"])
                 for __spec, label, fp in scenarios]
         return {"precision": precision, "metrics": metrics, "aged": aged,
-                "instr": instr.summary(),
                 "cache_stats": store.stats.as_dict()}
 
     if store is not None:
@@ -295,19 +299,14 @@ def _characterize_point_inner(task, point_span):
             store.stats.misses += 1
             obs_metrics.inc(obs_metrics.CACHE_HITS, -1)
             obs_metrics.inc(obs_metrics.CACHE_MISSES)
-        instr.count(instrument.COUNT_CACHE_MISSES)
     point_span.attrs["cache"] = "miss" if store is not None else "off"
 
     variant = component.with_precision(precision)
-    with instr.stage(instrument.STAGE_SYNTHESIZE):
-        if synth == "sweep":
-            # One base synthesis per worker process (memoized on the
-            # full-precision content), every truncated point derived by
-            # cone-restricted replay — bit-identical to from-scratch.
-            result = synthesize_variant(component, precision, library,
-                                        effort=effort)
-        else:
-            result = synthesize(variant, library, effort=effort)
+    # One base synthesis per worker process (memoized on the
+    # full-precision content), every truncated point derived by
+    # cone-restricted replay — bit-identical to from-scratch.
+    result = synthesize_variant(component, precision, library,
+                                effort=effort)
     netlist = result.netlist
     metrics = {
         "delay_ps": result.delay_ps,
@@ -324,12 +323,10 @@ def _characterize_point_inner(task, point_span):
             aged.append((label, entry["aged"][fp]["delay_ps"]))
             continue
         if isinstance(spec, ActualCaseSpec):
-            with instr.stage(instrument.STAGE_STRESS):
-                bits = operand_stream_bits(spec.operands,
-                                           variant.operand_widths)
-                annotation = extract_stress(netlist, library, bits,
-                                            label=spec.label,
-                                            engine=engine)
+            bits = operand_stream_bits(spec.operands,
+                                       variant.operand_widths)
+            annotation = extract_stress(netlist, library, bits,
+                                        label=spec.label)
             scenario = AgingScenario(spec.years, annotation)
         else:
             scenario = spec
@@ -338,21 +335,10 @@ def _characterize_point_inner(task, point_span):
     if pending:
         # All corners of this grid point share one compiled timing
         # program; the batched engine is bit-identical to per-corner
-        # scalar analyze (sta="scalar" keeps the reference path).
-        if sta == "batched":
-            with instr.stage(instrument.STAGE_STA):
-                batch = analyze_batch(
-                    netlist, library,
-                    [corner for __, __, __, corner in pending],
-                    bti=bti, degradation=degradation)
-            delays = batch.critical_paths_ps
-        else:
-            delays = []
-            for __, __, __, corner in pending:
-                with instr.stage(instrument.STAGE_STA):
-                    delays.append(critical_path_delay(
-                        netlist, library, scenario=corner, bti=bti,
-                        degradation=degradation))
+        # scalar analyze.
+        delays = analyze_batch(
+            netlist, library, [corner for __, __, __, corner in pending],
+            bti=bti, degradation=degradation).critical_paths_ps
         for (slot, label, fp, __), delay in zip(pending, delays):
             aged[slot] = (label, delay)
             new_aged[fp] = {"label": label, "delay_ps": delay}
@@ -361,7 +347,6 @@ def _characterize_point_inner(task, point_span):
                     meta={"component": variant.name,
                           "precision": precision, "effort": effort})
     return {"precision": precision, "metrics": metrics, "aged": aged,
-            "instr": instr.summary(),
             "cache_stats": store.stats.as_dict()
             if store is not None else None}
 
@@ -385,8 +370,7 @@ def scenario_specs(scenarios):
 
 def make_point_task(component, precision, library, specs, effort="ultra",
                     bti=DEFAULT_BTI, degradation=None, cache_root=None,
-                    cache_shards=0, engine="packed", sta="batched",
-                    synth="sweep"):
+                    cache_shards=0):
     """Build one picklable ``(component, precision)`` point task.
 
     *specs* is a :func:`scenario_specs` list. The task is the unit both
@@ -406,16 +390,12 @@ def make_point_task(component, precision, library, specs, effort="ultra",
                                    bti, degradation),
         "cache_root": cache_root,
         "cache_shards": cache_shards,
-        "engine": engine,
-        "sta": sta,
-        "synth": synth,
     }
 
 
 def characterize(component, library, scenarios, precisions=None,
                  effort="ultra", bti=DEFAULT_BTI, degradation=None,
-                 jobs=None, cache=cache_mod.AMBIENT, engine="packed",
-                 sta="batched", synth="sweep", pool=None):
+                 jobs=None, cache=cache_mod.AMBIENT, pool=None):
     """Characterize *component* across precisions and aging scenarios.
 
     Parameters
@@ -442,25 +422,6 @@ def characterize(component, library, scenarios, precisions=None,
         :func:`repro.core.cache.set_cache` / ``REPRO_CACHE_DIR``), an
         explicit :class:`~repro.core.cache.CharacterizationCache` or
         directory path, or None to bypass caching.
-    engine:
-        Functional-simulation engine for actual-case stress extraction:
-        ``"packed"`` (64-way bit-parallel, the default) or ``"bytes"``
-        (uint8 reference). Both are bit-identical, so the cache
-        fingerprint is engine-independent.
-    sta:
-        STA engine for the aged corners: ``"batched"`` (one compiled
-        timing program per grid point, all corners in one vectorized
-        pass — the default) or ``"scalar"`` (per-corner
-        :func:`repro.sta.sta.analyze`). Both are bit-identical, so the
-        cache fingerprint is engine-independent.
-    synth:
-        Variant synthesis strategy: ``"sweep"`` (synthesize the
-        full-precision base once per worker process, derive each
-        truncated point by cone-restricted replay —
-        :func:`repro.synth.sweep.synthesize_variant`, the default) or
-        ``"scratch"`` (independent :func:`repro.synth.synthesize` per
-        point). Both are bit-identical, so the cache fingerprint is
-        strategy-independent.
     pool:
         Optional persistent :class:`~repro.core.parallel.WorkerPool`
         to fan out over (overrides *jobs*); repeated sweeps reuse its
@@ -471,19 +432,8 @@ def characterize(component, library, scenarios, precisions=None,
     ComponentCharacterization
     """
     width = component.width
-    if precisions is None:
-        precisions = list(range(width, max(width - 12, 1) - 1, -1))
-    precisions = sorted(set(precisions), reverse=True)
+    precisions = sweep_precisions(width, precisions)
     scenarios = list(scenarios)
-    if engine not in ("packed", "bytes"):
-        raise ValueError("engine must be 'packed' or 'bytes', got %r"
-                         % (engine,))
-    if sta not in ("batched", "scalar"):
-        raise ValueError("sta must be 'batched' or 'scalar', got %r"
-                         % (sta,))
-    if synth not in ("sweep", "scratch"):
-        raise ValueError("synth must be 'sweep' or 'scratch', got %r"
-                         % (synth,))
 
     store = cache_mod.resolve_cache(cache)
     cache_root = store.root if store is not None else None
@@ -493,8 +443,7 @@ def characterize(component, library, scenarios, precisions=None,
                              effort=effort, bti=bti,
                              degradation=degradation,
                              cache_root=cache_root,
-                             cache_shards=cache_shards,
-                             engine=engine, sta=sta, synth=synth)
+                             cache_shards=cache_shards)
              for precision in precisions]
 
     jobs = pool.jobs if pool is not None else resolve_jobs(jobs)
@@ -503,7 +452,6 @@ def characterize(component, library, scenarios, precisions=None,
               component_key(component), len(tasks), len(scenarios),
               effort, jobs, "on" if store is not None else "off")
 
-    instr = instrument.current()
     fresh_ps, area, leakage, gates, depth = {}, {}, {}, {}, {}
     aged_ps = {}
     labels = []
@@ -525,7 +473,6 @@ def characterize(component, library, scenarios, precisions=None,
                 if label not in labels:
                     labels.append(label)
                 aged_ps[(precision, label)] = delay
-            instr.merge(point["instr"])
             if store is not None and point["cache_stats"] is not None:
                 store.stats.merge(point["cache_stats"])
             # Re-parent the worker's span tree and fold its metrics in.
@@ -628,9 +575,7 @@ def truncation_screen(component, library, scenarios, precisions=None,
     TruncationScreen
     """
     width = component.width
-    if precisions is None:
-        precisions = list(range(width, max(width - 12, 1) - 1, -1))
-    precisions = sorted(set(precisions), reverse=True)
+    precisions = sweep_precisions(width, precisions)
     corners = [None]
     for spec in scenarios:
         if isinstance(spec, ActualCaseSpec):
@@ -641,16 +586,13 @@ def truncation_screen(component, library, scenarios, precisions=None,
             corners.append(spec)
     labels = ["fresh"] + [s.label for s in corners[1:]]
 
-    instr = instrument.current()
     with obs_trace.span("characterize.screen",
                         component=component_key(component),
                         precisions=len(precisions),
                         corners=len(corners)):
-        with instr.stage(instrument.STAGE_SYNTHESIZE):
-            netlist = synthesize(component, library, effort=effort).netlist
-        with instr.stage(instrument.STAGE_STA):
-            baseline = analyze_batch(netlist, library, corners, bti=bti,
-                                     degradation=degradation)
+        netlist = synthesize(component, library, effort=effort).netlist
+        baseline = analyze_batch(netlist, library, corners, bti=bti,
+                                 degradation=degradation)
         delays, cone, dropped = {}, {}, {}
         for precision in precisions:
             tied = truncated_input_nets(component, netlist, precision)
@@ -660,10 +602,9 @@ def truncation_screen(component, library, scenarios, precisions=None,
                 cone[precision] = 0.0
                 dropped[precision] = 0
                 continue
-            with instr.stage(instrument.STAGE_STA):
-                inc = analyze_incremental(netlist, library, tied,
-                                          baseline=baseline, bti=bti,
-                                          degradation=degradation)
+            inc = analyze_incremental(netlist, library, tied,
+                                      baseline=baseline, bti=bti,
+                                      degradation=degradation)
             for label, cp in zip(labels, inc.critical_paths_ps):
                 delays[(precision, label)] = cp
             cone[precision] = inc.cone_fraction

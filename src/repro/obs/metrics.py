@@ -33,8 +33,7 @@ METRICS_SCHEMA = 1
 #: Default histogram boundaries: one bucket per decade, 1e-6 .. 1e6.
 DEFAULT_BOUNDARIES = tuple(10.0 ** e for e in range(-6, 7))
 
-# Canonical metric names (the cache keeps its legacy ``cache_*`` counter
-# names as aliases — see repro.core.instrument.COUNTER_ALIASES).
+# Canonical metric names.
 CACHE_HITS = "cache.hits"
 CACHE_MISSES = "cache.misses"
 CACHE_STORES = "cache.stores"
@@ -179,8 +178,8 @@ class Histogram:
     def add_aggregate(self, count, total):
         """Fold *count* pre-aggregated observations summing to *total*.
 
-        Used when only aggregate data survives (legacy instrumentation
-        summaries); the bucket credit goes to the mean value.
+        Used when only aggregate data survives; the bucket credit goes
+        to the mean value.
         """
         if count <= 0:
             return
@@ -391,10 +390,6 @@ class MetricsRegistry:
                     metric = self._get_or_create(name, cls)
                 metric.merge_snapshot(state)
         return self
-
-    def reset(self):
-        with self._lock:
-            self._metrics.clear()
 
     def __repr__(self):
         return "MetricsRegistry(%d metrics)" % len(self._metrics)

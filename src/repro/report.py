@@ -112,39 +112,30 @@ def flow_report_text(report):
     return "\n".join(lines)
 
 
-def instrumentation_report_text(instr, cache_stats=None):
-    """Per-stage timing and cache-effectiveness summary.
+def timings_report_text(totals, cache_stats=None):
+    """Per-span timing and cache-effectiveness summary (``--timings``).
 
     Parameters
     ----------
-    instr:
-        An :class:`~repro.core.instrument.Instrumentation` collector or
-        the dict from its ``summary()``.
+    totals:
+        ``{span name: {"calls", "seconds"}}`` from
+        :meth:`repro.obs.trace.Tracer.totals`. Times are inclusive: a
+        span's time contains its children's, so rows overlap and are
+        not summed.
     cache_stats:
         Optional :class:`~repro.core.cache.CacheStats` (or its dict
         form) from the result cache in use.
     """
-    summary = instr.summary() if hasattr(instr, "summary") else instr
-    stages = summary.get("stages", {})
-    counters = summary.get("counters", {})
-    lines = ["per-stage timing:"]
-    if stages:
-        total = sum(entry["seconds"] for entry in stages.values())
-        rows = [[name, entry["calls"], entry["seconds"] * 1e3,
-                 100.0 * entry["seconds"] / total if total else 0.0]
-                for name, entry in sorted(stages.items(),
+    lines = ["per-span timing (inclusive ms; nested spans overlap):"]
+    if totals:
+        rows = [[name, entry["calls"], entry["seconds"] * 1e3]
+                for name, entry in sorted(totals.items(),
                                           key=lambda i: -i[1]["seconds"])]
-        lines.append(format_table(["stage", "calls", "ms", "share_%"],
-                                  rows))
-        lines.append("total instrumented: %.1f ms" % (total * 1e3))
+        lines.append(format_table(["span", "calls", "inclusive_ms"], rows))
     else:
-        lines.append("  (no stages recorded)")
+        lines.append("  (no spans recorded)")
     if cache_stats is not None and hasattr(cache_stats, "as_dict"):
         cache_stats = cache_stats.as_dict()
-    if cache_stats is None:
-        cache_stats = {name[len("cache_"):]: count
-                       for name, count in counters.items()
-                       if name.startswith("cache_")}
     if cache_stats:
         hits = cache_stats.get("hits", 0)
         misses = cache_stats.get("misses", 0)
@@ -152,9 +143,6 @@ def instrumentation_report_text(instr, cache_stats=None):
         lines.append("cache: %d hits / %d misses (%.0f%% hit rate)"
                      % (hits, misses, 100.0 * hits / looked if looked
                         else 0.0))
-    memo_hits = counters.get("netlist_memo_hits", 0)
-    if memo_hits:
-        lines.append("netlist memo: %d reuse(s)" % memo_hits)
     return "\n".join(lines)
 
 

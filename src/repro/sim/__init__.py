@@ -6,8 +6,8 @@ from .logic import (CompiledNetlist, compile_netlist, evaluate,
                     int_to_bits, bits_to_int)
 from .timing import TimedResult, TimedSimulator, max_frequency_ghz
 from .event import EventSimulator, Waveform
-from .activity import (ENGINES, ActivityReport, simulate_activity,
-                       extract_stress, operand_stream_bits)
+from .activity import (ActivityReport, simulate_activity, extract_stress,
+                       operand_stream_bits)
 from .pipeline import PipelineRun, StageReport, TimedPipeline
 from .stimuli import STIMULUS_NAMES, make_stimulus
 
@@ -18,7 +18,7 @@ __all__ = [
     "int_to_bits", "bits_to_int",
     "TimedResult", "TimedSimulator", "max_frequency_ghz",
     "EventSimulator", "Waveform",
-    "ENGINES", "ActivityReport", "simulate_activity", "extract_stress",
+    "ActivityReport", "simulate_activity", "extract_stress",
     "operand_stream_bits",
     "PipelineRun", "StageReport", "TimedPipeline",
     "STIMULUS_NAMES", "make_stimulus",

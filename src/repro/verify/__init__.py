@@ -14,7 +14,9 @@ Section-V slack rule. This package makes those equivalences executable:
 ``oracles``
     Cross-engine oracles running one netlist through the functional
     bytes, packed 64-way, event-driven and timed engines and diffing
-    the outputs bit-exactly, with minimized counterexample reporting.
+    the outputs bit-exactly, with minimized counterexample reporting;
+    plus the reference implementations production fast paths must
+    match (``uint8`` activity, serial from-scratch characterization).
 ``shrink``
     Greedy netlist shrinker that reduces a failing netlist to a minimal
     reproducer (typically a handful of gates).
@@ -38,25 +40,29 @@ from .fuzz import (FuzzReport, fuzz_engines, load_corpus, netlist_from_dict,
                    save_corpus_entry)
 from .golden import GoldenMismatch, check_golden, golden_model
 from .invariants import (InvariantResult, check_characterization,
-                         check_error_shape, check_injection, check_mc,
-                         check_psnr_endpoints, check_slack_rule,
-                         check_sta_engine, check_synth_sweep)
+                         check_characterize_reference, check_error_shape,
+                         check_injection, check_mc, check_psnr_endpoints,
+                         check_slack_rule, check_sta_engine,
+                         check_synth_sweep)
 from .oracles import (ENGINES, Counterexample, EngineMismatch, OracleReport,
                       cross_engine_check, diff_engines, engine_outputs,
-                      minimize_counterexample)
+                      minimize_counterexample, reference_activity,
+                      reference_characterize)
 from .shrink import shrink_netlist
 from .verify import VerificationReport, verify_component
 
 __all__ = [
     "ENGINES", "Counterexample", "EngineMismatch", "FuzzReport",
     "GoldenMismatch", "InvariantResult", "OracleReport",
-    "VerificationReport", "check_characterization", "check_error_shape",
+    "VerificationReport", "check_characterization",
+    "check_characterize_reference", "check_error_shape",
     "check_golden", "check_injection", "check_mc",
     "check_psnr_endpoints", "check_slack_rule",
     "check_sta_engine", "check_synth_sweep",
     "cross_engine_check", "diff_engines", "engine_outputs", "fuzz_engines",
     "golden_model", "load_corpus", "minimize_counterexample",
     "netlist_from_dict", "netlist_to_dict", "random_netlist",
-    "replay_corpus", "save_corpus_entry", "shrink_netlist",
+    "reference_activity", "reference_characterize", "replay_corpus",
+    "save_corpus_entry", "shrink_netlist",
     "verify_component",
 ]

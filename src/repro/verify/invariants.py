@@ -376,6 +376,43 @@ def check_synth_sweep(component, library, efforts=("medium", "ultra"),
         % fallbacks))
     return results
 
+
+#: Table fields of a characterization compared against the reference.
+_TABLE_FIELDS = ("precisions", "scenario_labels", "fresh_ps", "aged_ps",
+                 "area_um2", "leakage_nw", "gates", "depth")
+
+
+def check_characterize_reference(char, component, library, scenarios,
+                                 effort="ultra", bti=None,
+                                 degradation=None):
+    """:func:`~repro.core.characterize.characterize` output *char* vs
+    the serial from-scratch reference, with ``==``.
+
+    The production sweep derives variants by cone-restricted synthesis
+    replay, analyzes all corners in one batched STA pass, extracts
+    actual-case stress with the packed engine, and may answer from the
+    cache or a worker pool. None of that may change a single table
+    value: :func:`repro.verify.oracles.reference_characterize` is rerun
+    on *char*'s precisions and every table must compare equal.
+    """
+    from ..aging.bti import DEFAULT_BTI
+    from . import oracles
+
+    reference = oracles.reference_characterize(
+        component, library, scenarios, precisions=char.precisions,
+        effort=effort, bti=DEFAULT_BTI if bti is None else bti,
+        degradation=degradation)
+    bad = [name for name in _TABLE_FIELDS
+           if getattr(char, name) != getattr(reference, name)]
+    return [_result(
+        "characterize_reference_bit_exact", not bad,
+        "%d precision(s) x %d scenario(s) equal to the from-scratch "
+        "scalar reference" % (len(char.precisions),
+                              len(char.scenario_labels)),
+        "characterize() diverges from the reference in: %s"
+        % ", ".join(bad))]
+
+
 def check_sta_engine(netlist, library, scenarios, bti=None,
                      degradation=None):
     """Batched/incremental STA vs the scalar oracle, bit-exactly.

@@ -25,6 +25,18 @@ that disagrees — small enough to paste into a regression test.
 Netlists are always compiled with ``memo=False`` here so that an
 injected kernel fault (or any global-table mutation) is picked up
 instead of being masked by a previously cached program.
+
+The module also keeps the straightforward reference implementations
+that production fast paths must match bit for bit, so the fast paths
+need no switch of their own:
+
+* :func:`reference_activity` — ``uint8`` signal probabilities and
+  toggle rates, the reference of the popcount-based
+  :func:`repro.sim.activity.simulate_activity`;
+* :func:`reference_characterize` — serial, uncached Section IV
+  characterization with from-scratch synthesis per precision,
+  per-corner scalar STA and ``uint8`` stress extraction, the reference
+  of :func:`repro.core.characterize.characterize`.
 """
 
 import json
@@ -33,9 +45,19 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..aging.bti import DEFAULT_BTI
+from ..aging.scenario import AgingScenario
+from ..aging.stress import ActualStress
+from ..core.characterize import (ActualCaseSpec, ComponentCharacterization,
+                                 component_key, sweep_precisions)
+from ..sim.activity import ActivityReport, operand_stream_bits
 from ..sim.event import EventSimulator
-from ..sim.logic import compile_netlist, evaluate, evaluate_packed
+from ..sim.logic import (all_net_values, compile_netlist, evaluate,
+                         evaluate_packed)
 from ..sim.timing import TimedSimulator
+from ..sta.paths import logic_depth
+from ..sta.sta import critical_path_delay
+from ..synth.synthesize import synthesize
 
 #: Engine names, in reporting order; ``bytes`` is the reference.
 ENGINES = ("bytes", "packed", "event", "timed")
@@ -328,3 +350,87 @@ def minimize_counterexample(netlist, library, pi_bits, mismatches,
         netlist_dict=netlist_to_dict(shrunk), engines=pair,
         inputs=witness, gates=shrunk.num_gates,
         original_design=netlist.name, original_gates=netlist.num_gates)
+
+
+# ---------------------------------------------------------------------------
+# reference implementations of production fast paths
+# ---------------------------------------------------------------------------
+
+def _byte_statistics(compiled, pi_bits):
+    """Materialize the full ``uint8`` net matrix and average it."""
+    values = all_net_values(compiled, pi_bits)
+    p1 = values.mean(axis=0)
+    if values.shape[0] > 1:
+        toggles = (values[1:] != values[:-1]).mean(axis=0)
+    else:
+        toggles = np.zeros(values.shape[1])
+    return p1, toggles
+
+
+def reference_activity(netlist, library, pi_bits):
+    """``uint8`` reference of :func:`repro.sim.activity.simulate_activity`.
+
+    Same inputs and :class:`~repro.sim.activity.ActivityReport` output;
+    the packed engine must reproduce every statistic exactly.
+    """
+    compiled = compile_netlist(netlist, library)
+    pi_bits = np.asarray(pi_bits, dtype=np.uint8)
+    vectors = int(pi_bits.shape[0])
+    if vectors == 0:
+        p1 = toggles = np.zeros(compiled.slots)
+    else:
+        p1, toggles = _byte_statistics(compiled, pi_bits)
+    return ActivityReport.from_slots(compiled, p1, toggles, vectors)
+
+
+def reference_characterize(component, library, scenarios, precisions=None,
+                           effort="ultra", bti=DEFAULT_BTI,
+                           degradation=None):
+    """Reference of :func:`repro.core.characterize.characterize`.
+
+    Serial and uncached: every precision variant is synthesized from
+    scratch with :func:`repro.synth.synthesize.synthesize`, actual-case
+    stress is extracted with the ``uint8`` engine
+    (:func:`reference_activity`), and every aged corner gets its own
+    scalar :func:`repro.sta.sta.critical_path_delay`. The production
+    sweep (cone-restricted synthesis replay, batched STA, packed
+    activity, cache, worker pool) must return ``==`` tables.
+    """
+    width = component.width
+    precisions = sweep_precisions(width, precisions)
+    scenarios = list(scenarios)
+    fresh_ps, area, leakage, gates, depth = {}, {}, {}, {}, {}
+    aged_ps = {}
+    labels = []
+    for precision in precisions:
+        variant = component.with_precision(precision)
+        result = synthesize(variant, library, effort=effort)
+        netlist = result.netlist
+        fresh_ps[precision] = result.delay_ps
+        area[precision] = result.area_um2
+        leakage[precision] = result.leakage_nw
+        gates[precision] = result.final_gates
+        depth[precision] = logic_depth(netlist)
+        for spec in scenarios:
+            if isinstance(spec, ActualCaseSpec):
+                bits = operand_stream_bits(spec.operands,
+                                           variant.operand_widths)
+                report = reference_activity(netlist, library, bits)
+                scenario = AgingScenario(
+                    spec.years, ActualStress.from_signal_probabilities(
+                        netlist, report.signal_probability,
+                        label=spec.label))
+                label = spec.scenario_label
+            else:
+                scenario = spec
+                label = spec.label
+            if label not in labels:
+                labels.append(label)
+            aged_ps[(precision, label)] = critical_path_delay(
+                netlist, library, scenario=scenario, bti=bti,
+                degradation=degradation)
+    return ComponentCharacterization(
+        key=component_key(component), family=component.family, width=width,
+        precisions=precisions, scenario_labels=labels, fresh_ps=fresh_ps,
+        aged_ps=aged_ps, area_um2=area, leakage_nw=leakage, gates=gates,
+        depth=depth)

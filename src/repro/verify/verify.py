@@ -10,8 +10,9 @@ component:
    and the outputs are diffed bit-exactly
    (:func:`repro.verify.oracles.cross_engine_check`);
 3. **invariants** — the component is characterized across precisions
-   and scenarios, then Eq. 2 / monotonicity and the error-shape claims
-   are checked (:mod:`repro.verify.invariants`);
+   and scenarios, the tables are compared with the from-scratch
+   reference, then Eq. 2 / monotonicity and the error-shape claims are
+   checked (:mod:`repro.verify.invariants`);
 4. **fuzz** (optional) — random netlists stress the engines beyond
    this component's structure
    (:func:`repro.verify.fuzz.fuzz_engines`).
@@ -33,8 +34,9 @@ from ..obs import logs, trace as obs_trace
 from .fuzz import FuzzReport, fuzz_engines
 from .golden import GoldenMismatch, check_golden
 from .invariants import (InvariantResult, check_characterization,
-                         check_error_shape, check_injection, check_mc,
-                         check_sta_engine, check_synth_sweep)
+                         check_characterize_reference, check_error_shape,
+                         check_injection, check_mc, check_sta_engine,
+                         check_synth_sweep)
 from .oracles import ENGINES, EVENT_VECTOR_CAP, OracleReport, \
     cross_engine_check
 
@@ -158,6 +160,9 @@ def verify_component(component, library, scenarios, vectors=96,
                                 bti=bti, degradation=degradation,
                                 jobs=jobs, cache=cache)
             report.invariants = check_characterization(char)
+            report.invariants += check_characterize_reference(
+                char, component, library, scenarios, effort=effort,
+                bti=bti, degradation=degradation)
             uniform = [s for s in scenarios
                        if isinstance(s, AgingScenario)]
             report.invariants += check_sta_engine(

@@ -1,7 +1,8 @@
 """Tests for the bit-packed 64-way simulation engine.
 
 The packed engine must be *bit-identical* to the ``uint8`` reference
-engine — outputs, signal probabilities, and toggle rates — on the full
+engine — outputs, and signal probabilities and toggle rates against
+:func:`repro.verify.oracles.reference_activity` — on the full
 component library, on random netlists under random stimuli, and across
 awkward batch sizes (non-multiples of 64, single vectors, empty).
 """
@@ -16,6 +17,7 @@ from repro.netlist import CONST0, CONST1, NetlistBuilder
 from repro.sim import (compile_netlist, evaluate, evaluate_packed,
                        pack_bits, popcount, simulate_activity, unpack_bits)
 from repro.sim import bitpack
+from repro.verify import reference_activity
 
 LIB = default_library()
 
@@ -129,26 +131,11 @@ class TestEngineEquivalence:
         for netlist in (adder8, mult6, mac4):
             n_pi = len(netlist.primary_inputs)
             bits = rng.integers(0, 2, (batch, n_pi)).astype(np.uint8)
-            ref = simulate_activity(netlist, lib, bits, engine="bytes")
-            got = simulate_activity(netlist, lib, bits, engine="packed")
+            ref = reference_activity(netlist, lib, bits)
+            got = simulate_activity(netlist, lib, bits)
             assert got.vectors == ref.vectors
             assert got.signal_probability == ref.signal_probability
             assert got.toggle_rate == ref.toggle_rate
-
-    def test_default_engine_is_packed(self, lib, adder8, rng):
-        bits = rng.integers(
-            0, 2, (70, len(adder8.primary_inputs))).astype(np.uint8)
-        default = simulate_activity(adder8, lib, bits)
-        packed = simulate_activity(adder8, lib, bits, engine="packed")
-        assert default.signal_probability == packed.signal_probability
-        assert default.toggle_rate == packed.toggle_rate
-
-    def test_unknown_engine_rejected(self, lib, adder8):
-        with pytest.raises(ValueError, match="engine"):
-            simulate_activity(
-                adder8, lib,
-                np.zeros((2, len(adder8.primary_inputs)), dtype=np.uint8),
-                engine="simd")
 
     def test_release_flag_equivalence(self, lib, mult6, rng):
         compiled = compile_netlist(mult6, lib)
@@ -202,7 +189,7 @@ def test_engines_agree_on_random_netlists(netlist, batch, seed):
     compiled = compile_netlist(netlist, LIB)
     assert np.array_equal(evaluate_packed(compiled, bits),
                           evaluate(compiled, bits))
-    ref = simulate_activity(netlist, LIB, bits, engine="bytes")
-    got = simulate_activity(netlist, LIB, bits, engine="packed")
+    ref = reference_activity(netlist, LIB, bits)
+    got = simulate_activity(netlist, LIB, bits)
     assert got.signal_probability == ref.signal_probability
     assert got.toggle_rate == ref.toggle_rate

@@ -7,7 +7,9 @@ from repro.aging import worst_case
 from repro.core import (ActualCaseSpec, AgingApproximationLibrary,
                         ComponentCharacterization, characterize,
                         component_key)
+from repro.core.specs import parse_component
 from repro.rtl import Adder, Multiplier
+from repro.verify import reference_characterize
 
 
 @pytest.fixture(scope="module")
@@ -175,3 +177,31 @@ class TestLibraryStore:
                              precisions=[6, 5], effort="low")
         store = AgingApproximationLibrary([adder_entry, other])
         assert store.keys() == sorted([adder_entry.key, other.key])
+
+
+class TestReferenceEquivalence:
+    """The production sweep (sweep synthesis, batched STA, packed stress
+    extraction, worker pool) returns ``==`` tables to the serial
+    from-scratch scalar reference in :mod:`repro.verify.oracles`."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("name", ["adder8", "mult8"])
+    def test_tables_equal_reference(self, lib, name, jobs):
+        component = parse_component(name)
+        operands = component.random_operands(
+            256, rng=np.random.default_rng(7))
+        scenarios = [worst_case(1), worst_case(10),
+                     ActualCaseSpec(10, "nd", operands)]
+        precisions = [8, 7, 5]
+        got = characterize(component, lib, scenarios,
+                           precisions=precisions, effort="ultra",
+                           jobs=jobs, cache=None)
+        want = reference_characterize(component, lib, scenarios,
+                                      precisions=precisions,
+                                      effort="ultra")
+        assert got.scenario_labels == want.scenario_labels
+        assert len(got.aged_ps) == 3 * 3
+        for field in ("fresh_ps", "aged_ps", "area_um2", "leakage_nw",
+                      "gates", "depth"):
+            assert getattr(got, field) == getattr(want, field), field
+

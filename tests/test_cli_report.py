@@ -5,7 +5,9 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.report import format_table, metrics_report_text
+from repro.obs import trace as obs_trace
+from repro.report import (format_table, metrics_report_text,
+                          timings_report_text)
 
 
 class TestFormatTable:
@@ -134,6 +136,15 @@ class TestCommands:
         assert code == 2
         assert "nothing to export" in err
 
+    @pytest.mark.parametrize("flag", [["--sta", "scalar"],
+                                      ["--synth", "scratch"]])
+    def test_reference_engine_flags_removed(self, capsys, flag):
+        # The reference engines live in repro.verify, not on the CLI.
+        with pytest.raises(SystemExit) as exc:
+            main(["characterize", "--component", "adder8"] + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestObservabilityFlags:
     def test_flags_uniform_across_subcommands(self):
@@ -197,7 +208,9 @@ class TestObservabilityFlags:
         mcounters = manifest["metrics"]["counters"]
         assert (mcounters.get("synth.runs", 0) > 0
                 or mcounters.get("synth.sweep.base_memo_hits", 0) > 0)
-        assert manifest["stages"]
+        # Manifest stages are the trace's per-span inclusive totals.
+        assert manifest["stages"]["flow.remove_guardband"]["calls"] == 1
+        assert manifest["stages"]["characterize.point"]["calls"] > 0
         assert (manifest["peak_rss_bytes"] is None
                 or manifest["peak_rss_bytes"] > 0)
 
@@ -211,15 +224,17 @@ class TestObservabilityFlags:
                 for line in trace.read_text().splitlines()]
         assert rows[0]["name"] == "cli.timing"
         assert rows[0]["depth"] == 0
-        assert any(r["name"] == "synthesize" for r in rows)
+        assert any(r["name"] == "synth.synthesize" for r in rows)
+        assert any(r["name"] == "sta.analyze_batch" for r in rows)
 
     def test_timings_flag_on_timing_and_export(self, capsys, tmp_path):
         code = main(["timing", "--component", "adder", "--width", "6",
                      "--years", "10", "--effort", "high", "--timings"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "per-stage timing:" in out
-        assert "synthesize" in out
+        assert "per-span timing (inclusive ms" in out
+        for row in ("cli.timing", "synth.synthesize", "sta.analyze_batch"):
+            assert row in out
 
         verilog = tmp_path / "a.v"
         code = main(["export", "--component", "adder", "--width", "6",
@@ -227,8 +242,45 @@ class TestObservabilityFlags:
                      "--timings"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "per-stage timing:" in out
+        assert "per-span timing (inclusive ms" in out
+        assert "synth.synthesize" in out
         assert verilog.exists()
+
+    def test_timings_report_rows_by_inclusive_time(self):
+        text = timings_report_text(
+            {"sta.analyze_batch": {"calls": 3, "seconds": 0.002},
+             "characterize.point": {"calls": 2, "seconds": 0.005}},
+            {"hits": 1, "misses": 3})
+        lines = text.splitlines()
+        assert lines[0].startswith("per-span timing (inclusive ms")
+        assert lines[1].split() == ["span", "calls", "inclusive_ms"]
+        assert lines[3].split() == ["characterize.point", "2", "5.0"]
+        assert lines[4].split() == ["sta.analyze_batch", "3", "2.0"]
+        assert lines[5] == "cache: 1 hits / 3 misses (25% hit rate)"
+        assert "(no spans recorded)" in timings_report_text({})
+
+    @pytest.mark.parametrize("flag", ["--timings", "--trace", "--metrics",
+                                      "--manifest"])
+    def test_trace_capture_only_with_observability_flags(
+            self, capsys, monkeypatch, tmp_path, flag):
+        # A long-running serve session with none of --trace, --metrics,
+        # --manifest or --timings must not accumulate a span tree.
+        captures = []
+        real_capture = obs_trace.capture
+
+        def counting_capture(tracer=None):
+            captures.append(tracer)
+            return real_capture(tracer)
+
+        monkeypatch.setattr(obs_trace, "capture", counting_capture)
+        argv = ["timing", "--component", "adder", "--width", "6",
+                "--years", "10", "--effort", "high"]
+        assert main(argv) == 0
+        assert captures == []
+        extra = ([flag] if flag == "--timings"
+                 else [flag, str(tmp_path / "out.json")])
+        assert main(argv + extra) == 0
+        assert len(captures) == 1
 
     def test_log_level_flag(self, capsys):
         import logging

@@ -3,8 +3,7 @@
 Covers the tentpole guarantees: span nesting and ambient propagation
 (threads, asyncio, process-pool re-parenting), Chrome-trace / JSONL
 export validity, associative metrics merging, cache-effectiveness
-metrics, the run manifest, the logging hierarchy, and the
-repro.core.instrument compatibility shim.
+metrics, the run manifest and the logging hierarchy.
 """
 
 import asyncio
@@ -15,7 +14,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.core import instrument
 from repro.core.cache import CharacterizationCache
 from repro.obs import logs as obs_logs
 from repro.obs import manifest as obs_manifest
@@ -659,50 +657,3 @@ class TestLogs:
     def test_configure_rejects_unknown_level(self):
         with pytest.raises(ValueError):
             obs_logs.configure("chatty")
-
-
-# ---------------------------------------------------------------------------
-# repro.core.instrument compatibility shim
-# ---------------------------------------------------------------------------
-
-class TestInstrumentShim:
-    def test_summary_wire_format_unchanged(self):
-        instr = instrument.Instrumentation()
-        with instr.stage(instrument.STAGE_SYNTHESIZE):
-            pass
-        instr.count(instrument.COUNT_CACHE_HITS, 2)
-        summary = instr.summary()
-        assert set(summary) == {"stages", "counters"}
-        stage = summary["stages"][instrument.STAGE_SYNTHESIZE]
-        assert stage["calls"] == 1 and stage["seconds"] >= 0.0
-        assert summary["counters"] == {instrument.COUNT_CACHE_HITS: 2}
-        json.dumps(summary)
-
-    def test_stage_also_records_trace_span(self):
-        instr = instrument.Instrumentation()
-        with obs_trace.capture() as tracer:
-            with instr.stage("sta"):
-                pass
-        assert [r.name for r in tracer.roots] == ["sta"]
-        assert instr.stage_calls("sta") == 1
-
-    def test_collect_isolated_across_threads(self):
-        # The old module-level _STACK list interleaved pushes/pops across
-        # threads; the contextvars stack must not.
-        def work(i):
-            with instrument.collect() as instr:
-                assert instrument.current() is instr
-                instr.count("worker", i)
-                return instrument.current().counter("worker")
-
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            results = sorted(pool.map(work, range(8)))
-        assert results == list(range(8))
-        assert instrument.current().counter("worker") == 0
-
-    def test_counter_aliases_point_at_canonical_names(self):
-        assert (instrument.COUNTER_ALIASES[instrument.COUNT_CACHE_HITS]
-                == obs_metrics.CACHE_HITS)
-        assert (instrument.COUNTER_ALIASES[
-                instrument.COUNT_NETLIST_MEMO_HITS]
-                == obs_metrics.NETLIST_MEMO_HITS)

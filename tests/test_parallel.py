@@ -1,14 +1,19 @@
-"""Tests for the parallel characterization engine and its instrumentation."""
+"""Tests for the parallel characterization engine and its span and
+metric accounting."""
+
+import os
 
 import pytest
 
 from repro.aging import worst_case
 from repro.core import (ActualCaseSpec, CharacterizationCache, WorkerPool,
-                        characterize, cache_enabled, instrument,
-                        resolve_jobs)
+                        characterize, cache_enabled, resolve_jobs)
 from repro.core.parallel import JOBS_ENV, map_tasks
-from repro.report import instrumentation_report_text
+from repro.obs import metrics as obs_metrics
+from repro.obs import trace as obs_trace
+from repro.report import timings_report_text
 from repro.rtl import Adder, Multiplier
+from repro.verify import reference_characterize
 
 
 class TestResolveJobs:
@@ -164,73 +169,72 @@ class TestParallelEquivalence:
 
 
 class TestInstrumentation:
+    """Per-stage, cache and worker accounting, read from ``repro.obs``
+    span totals and scoped metric counters."""
+
     def test_stages_recorded(self, lib, rng):
         component = Adder(8)
         a, b = component.random_operands(64, rng=rng)
-        with instrument.collect() as instr:
+        with obs_trace.capture() as tracer:
             characterize(component, lib,
                          scenarios=[worst_case(10),
                                     ActualCaseSpec(10, "nd", (a, b))],
                          precisions=[8, 7], effort="high", cache=None)
-        summary = instr.summary()
-        assert summary["stages"][instrument.STAGE_SYNTHESIZE]["calls"] == 2
-        # Batched STA: one corner-grid pass per precision point.
-        assert summary["stages"][instrument.STAGE_STA]["calls"] == 2
-        assert summary["stages"][instrument.STAGE_STRESS]["calls"] == 2
-        for entry in summary["stages"].values():
-            assert entry["seconds"] > 0
+        totals = tracer.totals()
+        # One span of each stage per precision point; batched STA makes
+        # one corner-grid pass per point.
+        for name in ("characterize.point", "synth.sweep.derive",
+                     "sta.analyze_batch", "stress.extract"):
+            assert totals[name]["calls"] == 2, name
+        for name in ("characterize.point", "sta.analyze_batch",
+                     "stress.extract"):
+            assert totals[name]["seconds"] > 0, name
 
     def test_scalar_sta_stages_per_corner(self, lib):
-        with instrument.collect() as instr:
-            characterize(Adder(8), lib,
-                         scenarios=[worst_case(1), worst_case(10)],
-                         precisions=[8, 7], effort="high", cache=None,
-                         sta="scalar")
-        summary = instr.summary()
-        # Scalar STA: one pass per (precision, corner) grid point.
-        assert summary["stages"][instrument.STAGE_STA]["calls"] == 4
+        # The scalar reference makes one STA pass per (precision,
+        # corner) grid point; synthesis-internal passes nest deeper.
+        with obs_trace.capture() as tracer:
+            reference_characterize(Adder(8), lib,
+                                   scenarios=[worst_case(1),
+                                              worst_case(10)],
+                                   precisions=[8, 7], effort="high")
+        assert [r.name for r in tracer.roots].count("sta.analyze") == 4
 
     def test_cache_counters_surface(self, lib, tmp_path):
         cache = CharacterizationCache(tmp_path)
-        with instrument.collect() as instr:
+        with obs_metrics.scoped() as registry:
             characterize(Adder(8), lib, scenarios=[worst_case(10)],
                          precisions=[8, 7], effort="high", cache=cache)
-        assert instr.counter(instrument.COUNT_CACHE_MISSES) == 2
-        with instrument.collect() as instr:
+        assert registry.snapshot()["counters"][obs_metrics.CACHE_MISSES] \
+            == 2
+        with obs_metrics.scoped() as registry:
             characterize(Adder(8), lib, scenarios=[worst_case(10)],
                          precisions=[8, 7], effort="high",
                          cache=CharacterizationCache(tmp_path))
-        assert instr.counter(instrument.COUNT_CACHE_HITS) == 2
+        counters = registry.snapshot()["counters"]
+        assert counters[obs_metrics.CACHE_HITS] == 2
+        assert obs_metrics.CACHE_MISSES not in counters
 
     def test_worker_timings_merged_from_parallel_run(self, lib):
-        with instrument.collect() as instr:
+        with obs_trace.capture() as tracer:
             characterize(Adder(8), lib, scenarios=[worst_case(10)],
                          precisions=[8, 7, 6], effort="high",
                          jobs=3, cache=None)
-        summary = instr.summary()
-        assert summary["stages"][instrument.STAGE_SYNTHESIZE]["calls"] == 3
-
-    def test_merge_and_reset(self):
-        a = instrument.Instrumentation()
-        with a.stage("synthesize"):
-            pass
-        a.count("cache_hits", 2)
-        b = instrument.Instrumentation()
-        b.merge(a.summary())
-        b.merge(a.summary())
-        assert b.stage_calls("synthesize") == 2
-        assert b.counter("cache_hits") == 4
-        b.reset()
-        assert b.summary() == {"stages": {}, "counters": {}}
+        totals = tracer.totals()
+        assert totals["characterize.point"]["calls"] == 3
+        assert totals["synth.sweep.derive"]["calls"] == 3
+        points = [s for s, __, __ in tracer.walk()
+                  if s.name == "characterize.point"]
+        assert {s.pid for s in points} - {os.getpid()}
 
     def test_report_text(self, lib, tmp_path):
         cache = CharacterizationCache(tmp_path)
-        with instrument.collect() as instr:
+        with obs_trace.capture() as tracer:
             characterize(Adder(8), lib, scenarios=[worst_case(10)],
                          precisions=[8, 7], effort="high", cache=cache)
-        text = instrumentation_report_text(instr, cache.stats)
-        assert "per-stage timing" in text
-        assert "synthesize" in text
+        text = timings_report_text(tracer.totals(), cache.stats)
+        assert "per-span timing (inclusive ms" in text
+        assert "characterize.point" in text
         assert "cache: 0 hits / 2 misses" in text
 
 
@@ -243,7 +247,8 @@ class TestCLI:
         assert main(args) == 0
         out = capsys.readouterr().out
         assert "required precision" in out
-        assert "per-stage timing" in out
+        assert "per-span timing" in out
+        assert "characterize.point" in out
         assert "misses" in out
         # Warm rerun reports hits instead of misses.
         assert main(args) == 0
@@ -258,4 +263,7 @@ class TestCLI:
         out = capsys.readouterr().out
         assert code == 0
         assert "validated: True" in out
-        assert "per-stage timing" in out
+        assert "per-span timing" in out
+        for row in ("flow.remove_guardband", "characterize.point",
+                    "sta.analyze_batch"):
+            assert row in out

@@ -16,7 +16,7 @@ from repro.aging import (ActualStress, AgingScenario, balance_case,
 from repro.aging.delay import (clear_multiplier_memo, gate_delays,
                                multiplier_memo_info)
 from repro.cells import DegradationAwareLibrary
-from repro.core.characterize import characterize, truncation_screen
+from repro.core.characterize import truncation_screen
 from repro.obs import metrics as obs_metrics
 from repro.rtl import Adder, Multiplier
 from repro.sta import analyze
@@ -237,22 +237,6 @@ class TestTruncationScreen:
                               operands=(np.arange(4), np.arange(4)))
         with pytest.raises(ValueError, match="uniform-stress"):
             truncation_screen(Adder(8), lib, [spec])
-
-
-class TestCharacterizeEngines:
-    def test_batched_equals_scalar_tables(self, lib):
-        kwargs = dict(scenarios=[worst_case(1.0), worst_case(10.0)],
-                      precisions=range(6, 3, -1), effort="low",
-                      cache=None)
-        batched = characterize(Adder(6), lib, sta="batched", **kwargs)
-        scalar = characterize(Adder(6), lib, sta="scalar", **kwargs)
-        assert batched.fresh_ps == scalar.fresh_ps
-        assert batched.aged_ps == scalar.aged_ps
-
-    def test_bad_sta_choice_rejected(self, lib):
-        with pytest.raises(ValueError, match="sta must be"):
-            characterize(Adder(6), lib, scenarios=[worst_case(1.0)],
-                         sta="magic")
 
 
 class TestMultiplierMemo:

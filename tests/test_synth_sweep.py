@@ -6,8 +6,9 @@ to an independent from-scratch ``synthesize()`` of the explicitly
 truncated component, with float-equal delay/area/leakage. These tests
 hold it to that contract across component families, efforts and
 precisions, and cover the satellites that ride along: canonical sizing
-order, per-pass metrics, the per-process base memo and the
-characterize/verify wiring.
+order, per-pass metrics, the per-process base memo and the verify
+invariant. ``characterize()`` as a whole is held to the from-scratch
+reference in ``tests/test_characterize.py``.
 """
 
 import pytest
@@ -15,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cells import default_library
-from repro.core import characterize
 from repro.core.cache import netlist_fingerprint
 from repro.core.specs import parse_component
 from repro.obs import metrics as obs_metrics
@@ -189,42 +189,6 @@ class TestProcessMemo:
         scratch = synthesize(component.with_precision(5), lib,
                              effort="medium")
         assert_point_identical(derived, scratch, "synthesize_variant")
-
-
-class TestCharacterizeWiring:
-    def test_characterize_sweep_equals_scratch(self, lib):
-        from repro.aging import worst_case
-        component = parse_component("adder8")
-        scenarios = [worst_case(10.0)]
-        kwargs = dict(scenarios=scenarios, precisions=[8, 7, 6],
-                      effort="ultra", cache=None)
-        swept = characterize(component, lib, synth="sweep", **kwargs)
-        scratch = characterize(component, lib, synth="scratch", **kwargs)
-        assert swept.fresh_ps == scratch.fresh_ps
-        assert swept.aged_ps == scratch.aged_ps
-        assert swept.area_um2 == scratch.area_um2
-        assert swept.leakage_nw == scratch.leakage_nw
-        assert swept.gates == scratch.gates
-        assert swept.depth == scratch.depth
-
-    def test_characterize_rejects_unknown_synth(self, lib):
-        from repro.aging import worst_case
-        with pytest.raises(ValueError, match="synth"):
-            characterize(parse_component("adder8"), lib,
-                         scenarios=[worst_case(10.0)], synth="magic",
-                         cache=None)
-
-    def test_point_key_is_synth_independent(self, lib):
-        """Sweep and scratch share cache entries — the fingerprint must
-        not depend on the synthesis strategy."""
-        from repro.aging import worst_case
-        from repro.core.characterize import make_point_task, scenario_specs
-        component = parse_component("adder8")
-        specs = scenario_specs([worst_case(10.0)])
-        a = make_point_task(component, 6, lib, specs, synth="sweep")
-        b = make_point_task(component, 6, lib, specs, synth="scratch")
-        assert a["key"] == b["key"]
-        assert a["synth"] == "sweep" and b["synth"] == "scratch"
 
 
 class TestVerifyInvariant:

@@ -59,6 +59,7 @@ class TestVerifyCommand:
         assert "verdict: PASS" in out
         assert "golden" in out
         assert "bytes/packed/event/timed" in out
+        assert "PASS characterize_reference_bit_exact" in out
 
     def test_fuzz_and_corpus_flags(self, capsys, tmp_path):
         corpus = tmp_path / "corpus"

@@ -7,6 +7,7 @@ checkers must actually *fail* on doctored artifacts.
 """
 
 import dataclasses
+import math
 
 import pytest
 
@@ -14,8 +15,9 @@ from repro.aging import balance_case, worst_case
 from repro.core import (Block, Microarchitecture, characterize,
                         remove_guardband)
 from repro.rtl import Adder, Multiplier
-from repro.verify import (check_characterization, check_error_shape,
-                          check_slack_rule)
+from repro.verify import (check_characterization,
+                          check_characterize_reference, check_error_shape,
+                          check_slack_rule, oracles)
 from repro.verify.invariants import InvariantResult, _scenario_years
 
 pytestmark = pytest.mark.verify
@@ -89,6 +91,30 @@ class TestCharacterizationInvariants:
             adder8_char.aged_ps[(8, "10y_worst")] * 2.0
         results = {r.name: r for r in check_characterization(doctored)}
         assert not results["aged_delay_monotone_in_stress"].passed
+
+
+class TestCharacterizeReference:
+    def test_detects_one_ulp_reference_perturbation(self, lib, adder8_char,
+                                                    monkeypatch):
+        scenarios = [worst_case(1), worst_case(10), balance_case(10)]
+        [ok] = check_characterize_reference(adder8_char, Adder(8), lib,
+                                            scenarios, effort="high")
+        assert ok.passed, ok.describe()
+
+        reference = oracles.reference_characterize
+
+        def perturbed(*args, **kw):
+            table = reference(*args, **kw)
+            key = (6, "10y_balance")
+            table.aged_ps[key] = math.nextafter(table.aged_ps[key],
+                                                math.inf)
+            return table
+
+        monkeypatch.setattr(oracles, "reference_characterize", perturbed)
+        [bad] = check_characterize_reference(adder8_char, Adder(8), lib,
+                                             scenarios, effort="high")
+        assert not bad.passed
+        assert "aged_ps" in bad.detail
 
 
 class TestSlackRule:
