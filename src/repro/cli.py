@@ -353,59 +353,49 @@ def cmd_verify(args):
     return 0 if report.passed else 1
 
 
-def cmd_inject(args):
-    from .inject import CampaignSpec, run_campaign
-    from .inject.campaign import component_spec
-
+def _run_grid(args, spec_type, run, report_text, noun, **fields):
+    """Shared body of ``repro inject`` / ``repro mc``: build the spec
+    (fresh plus ``--stress`` at every ``--years``), run it, print the
+    report and write ``--output``."""
     component = _component(args)
     scenarios = ["fresh"] + ["%s%gy" % (args.stress, y)
                              for y in args.years]
     try:
-        spec = CampaignSpec(
-            component=component_spec(component), width=component.width,
-            scenarios=tuple(scenarios), clock_scales=tuple(args.clocks),
-            vectors=args.vectors, seed=args.seed, stimulus=args.stimulus,
-            activity=args.activity, effort=args.effort).validated()
+        spec = spec_type(
+            component=specs_mod.component_spec(component),
+            width=component.width, scenarios=tuple(scenarios),
+            clock_scales=tuple(args.clocks), seed=args.seed,
+            effort=args.effort, **fields).validated()
     except specs_mod.SpecError as exc:
         raise SystemExit(str(exc))
     with _engine(args):
-        result = run_campaign(spec, jobs=args.jobs)
-        print(inject_report_text(result))
+        result = run(spec, jobs=args.jobs)
+        print(report_text(result))
     if args.output:
         with open(args.output, "w") as handle:
             json.dump(result.to_dict(), handle, indent=2, sort_keys=True)
             handle.write("\n")
-        print("campaign result written to %s" % args.output)
+        print("%s result written to %s" % (noun, args.output))
     return 0
+
+
+def cmd_inject(args):
+    from .inject import CampaignSpec, run_campaign
+
+    return _run_grid(args, CampaignSpec, run_campaign, inject_report_text,
+                     "campaign", vectors=args.vectors,
+                     stimulus=args.stimulus, activity=args.activity)
 
 
 def cmd_mc(args):
-    from .inject.campaign import component_spec
     from .mc import DEFAULT_BLOCK, MCSpec, run_mc
 
-    component = _component(args)
-    scenarios = ["fresh"] + ["%s%gy" % (args.stress, y)
-                             for y in args.years]
-    try:
-        spec = MCSpec(
-            component=component_spec(component), width=component.width,
-            scenarios=tuple(scenarios), clock_scales=tuple(args.clocks),
-            sigma_mv=args.sigma, samples=args.samples, seed=args.seed,
-            sweep_bits=args.sweep_bits, min_yield=args.min_yield,
-            effort=args.effort,
-            block=DEFAULT_BLOCK if args.block is None else args.block,
-            surrogate=args.surrogate).validated()
-    except specs_mod.SpecError as exc:
-        raise SystemExit(str(exc))
-    with _engine(args):
-        result = run_mc(spec, jobs=args.jobs)
-        print(mc_report_text(result))
-    if args.output:
-        with open(args.output, "w") as handle:
-            json.dump(result.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print("mc result written to %s" % args.output)
-    return 0
+    return _run_grid(
+        args, MCSpec, run_mc, mc_report_text, "mc", sigma_mv=args.sigma,
+        samples=args.samples, sweep_bits=args.sweep_bits,
+        min_yield=args.min_yield,
+        block=DEFAULT_BLOCK if args.block is None else args.block,
+        surrogate=args.surrogate)
 
 
 def cmd_serve(args):

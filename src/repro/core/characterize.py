@@ -245,25 +245,16 @@ def _characterize_point(task):
 
     Module-level so the process-pool path can pickle it; ``jobs=1`` runs
     it inline. Consults the on-disk cache when a root is given and
-    reports its own cache accounting, span tree and metric snapshot
-    back to the parent (workers cannot share the parent's ambient
-    collectors): the returned ``"trace"`` / ``"obs_metrics"`` entries
-    are re-parented / merged by :func:`characterize`. A ``"trace"`` propagation context in the task
-    (stamped by :mod:`repro.core.parallel` or the serve layer) stitches
-    this worker's spans into the submitting trace by identity.
+    reports its own cache accounting; :func:`repro.core.parallel.ship`
+    runs it (in :func:`characterize` and the serve layer alike) and
+    brings its spans and metrics home.
     """
-    with obs_trace.capture() as tracer, obs_metrics.scoped() as registry:
-        with obs_trace.propagated(task.get("trace")), obs_trace.span(
-                "characterize.point",
-                component=task["component"].family,
-                width=task["component"].width,
-                precision=task["precision"],
-                scenarios=[label for __s, label, __fp
-                           in task["scenarios"]]) as point_span:
-            result = _characterize_point_inner(task, point_span)
-    result["trace"] = tracer.to_dicts()
-    result["obs_metrics"] = registry.snapshot()
-    return result
+    with obs_trace.span(
+            "characterize.point", component=task["component"].family,
+            width=task["component"].width, precision=task["precision"],
+            scenarios=[label for __s, label, __fp
+                       in task["scenarios"]]) as point_span:
+        return _characterize_point_inner(task, point_span)
 
 
 def _characterize_point_inner(task, point_span):
@@ -475,9 +466,6 @@ def characterize(component, library, scenarios, precisions=None,
                 aged_ps[(precision, label)] = delay
             if store is not None and point["cache_stats"] is not None:
                 store.stats.merge(point["cache_stats"])
-            # Re-parent the worker's span tree and fold its metrics in.
-            obs_trace.adopt(point["trace"])
-            obs_metrics.registry().merge(point["obs_metrics"])
 
     return ComponentCharacterization(
         key=component_key(component), family=component.family, width=width,

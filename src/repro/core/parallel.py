@@ -12,11 +12,19 @@ order on collection, so both produce byte-for-byte identical results.
 Job-count resolution: an explicit ``jobs=`` argument wins; otherwise
 the ``REPRO_JOBS`` environment variable; otherwise 1 (serial).
 ``jobs=0`` / ``REPRO_JOBS=0`` means "one worker per CPU".
+
+Workers cannot share the parent's trace or metrics registry, so every
+task runs under :func:`ship` (its own tracer and registry, re-entering
+the submitting trace) and its outcome is brought home by :func:`land`
+(spans adopted under the current span, metrics merged). ``map_tasks``
+does both for every task on every path, so workers return plain
+payloads.
 """
 
 import os
+from functools import partial
 
-from ..obs import logs, trace as obs_trace
+from ..obs import logs, metrics as obs_metrics, trace as obs_trace
 
 #: Environment variable overriding the default worker count.
 JOBS_ENV = "REPRO_JOBS"
@@ -55,12 +63,13 @@ _JOBS_UNSET = object()
 def _stamp_trace(tasks):
     """Shallow-copy dict tasks with the ambient trace identity.
 
-    Pool workers cannot share the parent's contextvars; a ``"trace"``
-    propagation context in the task dict lets the worker re-enter the
-    submitting trace (:func:`repro.obs.trace.propagated`), so its
-    shipped span tree stitches into one connected request tree. No-op
-    when tracing is off, for non-dict tasks, and for tasks that already
-    carry an explicit context (the serve layer stamps per-point spans).
+    A shipped worker runs under its own tracer (and, when pooled, in
+    another process); a ``"trace"`` propagation context in the task
+    dict lets it re-enter the submitting trace
+    (:func:`repro.obs.trace.propagated`), so its span tree stitches
+    into one connected request tree. No-op when tracing is off, for
+    non-dict tasks, and for tasks that already carry an explicit
+    context (the serve layer stamps per-point spans).
     """
     ctx = obs_trace.propagation_context()
     if ctx is None:
@@ -70,11 +79,39 @@ def _stamp_trace(tasks):
             for task in tasks]
 
 
+def ship(worker, task):
+    """Run *worker* on *task* under its own tracer and metrics registry.
+
+    A ``"trace"`` propagation context in a dict *task* stitches the
+    worker's spans into the submitting trace. Returns the payload with
+    the spans and metric snapshot it produced — the picklable outcome
+    :func:`land` brings home.
+    """
+    context = task.get("trace") if isinstance(task, dict) else None
+    with obs_trace.capture() as tracer, obs_metrics.scoped() as registry:
+        with obs_trace.propagated(context):
+            payload = worker(task)
+    return {"payload": payload, "trace": tracer.to_dicts(),
+            "obs_metrics": registry.snapshot()}
+
+
+def land(outcome, registry=None):
+    """Adopt a :func:`ship` outcome's spans under the current span, merge
+    its metrics into *registry* (default: the ambient one), and return
+    its payload."""
+    obs_trace.adopt(outcome["trace"])
+    if registry is None:
+        registry = obs_metrics.registry()
+    registry.merge(outcome["obs_metrics"])
+    return outcome["payload"]
+
+
 def map_tasks(worker, tasks, jobs=_JOBS_UNSET, pool=None):
     """Apply *worker* to every task, serially or over a process pool.
 
-    Results come back in task order either way. *worker* must be a
-    module-level function and *tasks* picklable when ``jobs > 1``.
+    Results come back in task order either way, each task shipped and
+    landed (see the module doc). *worker* must be a module-level
+    function and *tasks* picklable when ``jobs > 1``.
     Passing a :class:`WorkerPool` as *pool* reuses its persistent
     workers instead of spawning (and tearing down) a pool for this
     call; the pool's worker count wins, and an explicit *jobs* that
@@ -92,8 +129,9 @@ def map_tasks(worker, tasks, jobs=_JOBS_UNSET, pool=None):
                 RuntimeWarning, stacklevel=2)
         return pool.map(worker, tasks)
     jobs = resolve_jobs(None if jobs is _JOBS_UNSET else jobs)
+    shipped = partial(ship, worker)
     if jobs <= 1 or len(tasks) <= 1:
-        return [worker(task) for task in tasks]
+        return [land(shipped(task)) for task in _stamp_trace(tasks)]
     from concurrent.futures import ProcessPoolExecutor
 
     workers = min(jobs, len(tasks))
@@ -101,8 +139,9 @@ def map_tasks(worker, tasks, jobs=_JOBS_UNSET, pool=None):
               len(tasks), workers)
     with obs_trace.span("parallel.map", tasks=len(tasks),
                         workers=workers):
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, _stamp_trace(tasks)))
+        with ProcessPoolExecutor(max_workers=workers) as executor:
+            outcomes = list(executor.map(shipped, _stamp_trace(tasks)))
+        return [land(outcome) for outcome in outcomes]
 
 
 class WorkerPool:
@@ -142,13 +181,16 @@ class WorkerPool:
         return self.executor.submit(worker, task)
 
     def map(self, worker, tasks):
-        """Apply *worker* to every task, preserving task order."""
+        """Apply *worker* to every task, preserving task order; each task
+        is shipped and landed like in :func:`map_tasks`."""
         tasks = list(tasks)
         if not tasks:
             return []
         with obs_trace.span("parallel.map", tasks=len(tasks),
                             workers=self.jobs, persistent=True):
-            return list(self.executor.map(worker, _stamp_trace(tasks)))
+            outcomes = list(self.executor.map(partial(ship, worker),
+                                              _stamp_trace(tasks)))
+            return [land(outcome) for outcome in outcomes]
 
     def shutdown(self, wait=True):
         """Reap the worker processes (idempotent)."""

@@ -80,6 +80,16 @@ def parse_component(spec, width=None, precision=None):
     return cls(width, precision=precision)
 
 
+def component_spec(component):
+    """The registry spelling of a component instance (inverse of
+    :func:`parse_component`, width passed separately)."""
+    for name, cls in component_registry().items():
+        if type(component) is cls:
+            return name
+    raise SpecError("component %s has no registry spelling"
+                    % getattr(component, "name", type(component).__name__))
+
+
 def parse_scenario(spec):
     """One scenario spec: ``fresh``, ``worst10y``/``balance1y`` or the
     characterization-label spelling ``10y_worst``."""

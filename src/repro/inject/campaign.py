@@ -29,7 +29,8 @@ in-process vs served path. Three mechanisms carry that guarantee:
 2. Every grid point is computed by the same module-level worker
    (:func:`_inject_point`) on inputs re-derived deterministically from
    the spec; serial and pooled paths run the identical float
-   operations in the identical order.
+   operations in the identical order. The spec format, corner grid and
+   synthesis/STA prelude are the shared :mod:`repro.core.grid` kernel.
 3. :func:`repro.core.parallel.map_tasks` returns results in task
    order, and task order is a pure function of the spec (scenario
    major, clock scale minor).
@@ -37,14 +38,13 @@ in-process vs served path. Three mechanisms carry that guarantee:
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from ..cells.library import default_library
+from ..core.grid import GridPrelude, GridSpec, grid_prelude, memoized_prelude
 from ..core.parallel import map_tasks
-from ..core.specs import (SpecError, parse_component, parse_effort,
-                          parse_scenario)
+from ..core.specs import SpecError
 from ..obs import logs, metrics as obs_metrics, trace as obs_trace
 from ..quality.metrics import (error_rate, max_abs_error, mean_abs_error,
                                psnr_db)
@@ -52,71 +52,40 @@ from ..sim.activity import operand_stream_bits
 from ..sim.logic import bits_to_int, compile_netlist, evaluate_packed
 from ..sim import bitpack
 from ..sim.stimuli import STIMULUS_NAMES, make_stimulus
-from ..sta.engine import (analyze_batch, analyze_incremental, compile_timing,
-                          corner_label, truncated_input_nets)
-from ..synth.synthesize import synthesize_netlist
+# compile_timing is bound here on purpose: the end-to-end benchmark's
+# tracing self-test checks that from-imported wrap targets are patched.
+from ..sta.engine import (analyze_incremental, compile_timing,  # noqa: F401
+                          truncated_input_nets)
 from .faultload import DEFAULT_ACTIVITY, build_faultload
 from .inject_sim import (check_alignment, count_mask_bits,
                          evaluate_packed_injected)
 
 _log = logs.get_logger("inject.campaign")
 
-#: Spec fields accepted by :meth:`CampaignSpec.from_dict`.
-_SPEC_FIELDS = ("component", "scenarios", "clock_scales", "vectors", "seed",
-                "stimulus", "activity", "effort", "width")
-
-
-def component_spec(component):
-    """The registry spelling of a component instance (inverse of
-    :func:`repro.core.specs.parse_component`, width passed separately)."""
-    from ..core.specs import component_registry
-    for name, cls in component_registry().items():
-        if type(component) is cls:
-            return name
-    raise SpecError("component %s has no registry spelling"
-                    % getattr(component, "name", type(component).__name__))
-
 
 @dataclass(frozen=True)
-class CampaignSpec:
+class CampaignSpec(GridSpec):
     """One reproducible campaign: everything a result depends on.
 
-    ``scenarios`` are textual corner specs (``fresh``, ``worst10y``,
-    ``balance1y``, ``10y_worst``); ``clock_scales`` multiply the fresh
-    (guardband-free) critical path, so ``1.0`` is "keep the fresh
-    clock" and ``0.9`` overclocks by 10%. The ladder covers the full
-    scenario x scale grid.
+    The shared grid fields are :class:`repro.core.grid.GridSpec`'s; the
+    ladder covers the full scenario x clock-scale grid, replaying
+    ``vectors`` vectors of the ``stimulus`` distribution, and
+    ``activity`` scales every violating gate's flip probability (see
+    :mod:`repro.inject.faultload`).
     """
 
-    component: str
     scenarios: Tuple[str, ...] = ("fresh", "worst10y")
-    clock_scales: Tuple[float, ...] = (1.0,)
     vectors: int = 4096
-    seed: int = 20170618
     stimulus: str = "normal"
     activity: float = DEFAULT_ACTIVITY
-    effort: str = "high"
-    width: Optional[int] = None
+
+    kind = "campaign"
 
     def validated(self):
         """Parse/normalize every field; raises :class:`SpecError`."""
-        parse_component(self.component, width=self.width)
-        parse_effort(self.effort)
-        labels = [corner_label(parse_scenario(s)) for s in self.scenarios]
-        if not labels:
-            raise SpecError("campaign needs at least one scenario")
-        if len(set(labels)) != len(labels):
-            raise SpecError("duplicate scenarios in %r" % (self.scenarios,))
-        if not self.clock_scales:
-            raise SpecError("campaign needs at least one clock scale")
-        if any(not (0.0 < float(s) <= 4.0) for s in self.clock_scales):
-            raise SpecError("clock scales must be in (0, 4], got %r"
-                            % (self.clock_scales,))
+        super().validated()
         if int(self.vectors) < 1:
             raise SpecError("vectors must be >= 1, got %r" % (self.vectors,))
-        if int(self.seed) < 0:
-            raise SpecError("seed must be non-negative, got %r"
-                            % (self.seed,))
         if not (0.0 < float(self.activity) <= 1.0):
             raise SpecError("activity must be in (0, 1], got %r"
                             % (self.activity,))
@@ -124,52 +93,6 @@ class CampaignSpec:
             raise SpecError("unknown stimulus %r (choose from %s)"
                             % (self.stimulus, ", ".join(STIMULUS_NAMES)))
         return self
-
-    def to_dict(self):
-        """JSON-serializable form (see :meth:`from_dict`)."""
-        return {
-            "component": self.component,
-            "scenarios": list(self.scenarios),
-            "clock_scales": [float(s) for s in self.clock_scales],
-            "vectors": int(self.vectors),
-            "seed": int(self.seed),
-            "stimulus": self.stimulus,
-            "activity": float(self.activity),
-            "effort": self.effort,
-            "width": self.width,
-        }
-
-    @classmethod
-    def from_dict(cls, data):
-        """Inverse of :meth:`to_dict`; unknown fields are an error."""
-        if not isinstance(data, dict):
-            raise SpecError("campaign spec must be an object, got %r"
-                            % type(data).__name__)
-        unknown = sorted(set(data) - set(_SPEC_FIELDS))
-        if unknown:
-            raise SpecError("unknown campaign spec fields: %s"
-                            % ", ".join(unknown))
-        if "component" not in data:
-            raise SpecError("campaign spec needs a component")
-        kwargs = dict(data)
-        if "scenarios" in kwargs:
-            kwargs["scenarios"] = tuple(str(s) for s in kwargs["scenarios"])
-        if "clock_scales" in kwargs:
-            kwargs["clock_scales"] = tuple(
-                float(s) for s in kwargs["clock_scales"])
-        for key in ("vectors", "seed"):
-            if key in kwargs:
-                kwargs[key] = int(kwargs[key])
-        if kwargs.get("width") is not None:
-            kwargs["width"] = int(kwargs["width"])
-        return cls(**kwargs).validated()
-
-    def key(self):
-        """Stable fingerprint for per-process prelude memoization."""
-        return (self.component, tuple(self.scenarios),
-                tuple(float(s) for s in self.clock_scales),
-                int(self.vectors), int(self.seed), self.stimulus,
-                float(self.activity), self.effort, self.width)
 
 
 @dataclass
@@ -211,38 +134,12 @@ class CampaignResult:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _Prelude:
-    component: object
-    netlist: object
+class _Prelude(GridPrelude):
     compiled: object
-    program: object
-    corners: tuple
-    labels: tuple
-    batch: object
-    fresh_clock_ps: float
     pi_bits: np.ndarray
     words: int
     clean_ints: np.ndarray
     peak: float
-    library: object
-
-
-_PRELUDE_MEMO = {}
-_PRELUDE_MEMO_LIMIT = 4
-
-
-def _campaign_corners(spec):
-    """Corner grid: fresh first (it defines the guardband-free clock),
-    then the spec's aged scenarios in order, deduplicated by label."""
-    corners = [parse_scenario("fresh")]
-    labels = ["fresh"]
-    for text in spec.scenarios:
-        scenario = parse_scenario(text)
-        label = corner_label(scenario)
-        if label not in labels:
-            corners.append(scenario)
-            labels.append(label)
-    return tuple(corners), tuple(labels)
 
 
 def _stimulus_operands(spec, component):
@@ -262,45 +159,24 @@ def _stimulus_operands(spec, component):
 
 
 def _build_prelude(spec, library):
-    component = parse_component(spec.component, width=spec.width)
-    lib = library if library is not None else default_library()
-    netlist = synthesize_netlist(component, lib, effort=spec.effort)
-    compiled = compile_netlist(netlist, lib)
-    program = compile_timing(netlist, lib)
-    check_alignment(compiled, program)
-    corners, labels = _campaign_corners(spec)
-    batch = analyze_batch(netlist, lib, corners, program=program)
-    fresh_clock = float(batch.critical_path_ps[0])
+    """The grid prelude plus the compiled netlist, the packed stimulus
+    and its clean reference outputs."""
+    base = grid_prelude(spec, library)
+    component = base.component
+    compiled = compile_netlist(base.netlist, base.library)
+    check_alignment(compiled, base.program)
     operands = _stimulus_operands(spec, component)
     pi_bits = operand_stream_bits(operands, component.operand_widths)
-    words = bitpack.word_count(spec.vectors)
     clean_bits = evaluate_packed(compiled, pi_bits)
-    clean_ints = bits_to_int(clean_bits, signed=True)
-    peak = float(2 ** (component.output_width - 1))
-    return _Prelude(component=component, netlist=netlist, compiled=compiled,
-                    program=program, corners=corners, labels=labels,
-                    batch=batch, fresh_clock_ps=fresh_clock, pi_bits=pi_bits,
-                    words=words, clean_ints=clean_ints, peak=peak,
-                    library=lib)
+    return _Prelude(**vars(base), compiled=compiled, pi_bits=pi_bits,
+                    words=bitpack.word_count(spec.vectors),
+                    clean_ints=bits_to_int(clean_bits, signed=True),
+                    peak=float(2 ** (component.output_width - 1)))
 
 
 def _prelude(spec, library=None):
-    """Per-process memoized campaign prelude.
-
-    Keyed by the spec fingerprint plus the library's identity: with the
-    default library the memo is effective across tasks of a campaign
-    (and across campaigns over the same spec); an explicit library
-    instance keys by ``id`` so tests with custom libraries stay
-    correct.
-    """
-    key = (spec.key(), "default" if library is None else id(library))
-    prelude = _PRELUDE_MEMO.get(key)
-    if prelude is None:
-        if len(_PRELUDE_MEMO) >= _PRELUDE_MEMO_LIMIT:
-            _PRELUDE_MEMO.pop(next(iter(_PRELUDE_MEMO)))
-        prelude = _build_prelude(spec, library)
-        _PRELUDE_MEMO[key] = prelude
-    return prelude
+    """Per-process memoized campaign prelude."""
+    return memoized_prelude(spec, library, _build_prelude)
 
 
 # ---------------------------------------------------------------------------
@@ -363,22 +239,14 @@ def _point_row(spec, prelude, scenario_label, clock_scale):
 
 
 def _inject_point(task):
-    """Module-level grid-point worker (shared by every execution path).
-
-    Returns the ladder row plus, when run inside a pool worker, the
-    spans and metrics it produced (``map_tasks`` workers run in their
-    own processes; the parent adopts/merges what comes back).
-    """
+    """Module-level grid-point worker (shared by every execution path);
+    returns the ladder row."""
     spec = CampaignSpec.from_dict(task["spec"])
-    with obs_trace.capture() as tracer, obs_metrics.scoped() as registry:
-        with obs_trace.propagated(task.get("trace")), obs_trace.span(
-                "inject.point", scenario=task["scenario"],
-                clock_scale=task["clock_scale"]):
-            prelude = _prelude(spec, library=task.get("library"))
-            row = _point_row(spec, prelude, task["scenario"],
-                             task["clock_scale"])
-    return {"row": row, "trace": tracer.to_dicts(),
-            "obs_metrics": registry.snapshot()}
+    with obs_trace.span("inject.point", scenario=task["scenario"],
+                        clock_scale=task["clock_scale"]):
+        prelude = _prelude(spec, library=task.get("library"))
+        return _point_row(spec, prelude, task["scenario"],
+                          task["clock_scale"])
 
 
 # ---------------------------------------------------------------------------
@@ -480,15 +348,9 @@ def _arms(spec, prelude):
 
 def make_point_tasks(spec, library=None):
     """The campaign's task list (scenario major, clock scale minor)."""
-    ctx = obs_trace.propagation_context()
-    ladder_labels = [corner_label(parse_scenario(s)) for s in spec.scenarios]
-    tasks = []
-    for label in ladder_labels:
-        for scale in spec.clock_scales:
-            tasks.append({"spec": spec.to_dict(), "scenario": label,
-                          "clock_scale": float(scale), "trace": ctx,
-                          "library": library})
-    return tasks
+    return [{"spec": spec.to_dict(), "scenario": label,
+             "clock_scale": float(scale), "library": library}
+            for label in spec.labels() for scale in spec.clock_scales]
 
 
 def run_campaign(spec, library=None, jobs=None, pool=None):
@@ -503,13 +365,8 @@ def run_campaign(spec, library=None, jobs=None, pool=None):
                         clock_scales=len(spec.clock_scales),
                         vectors=spec.vectors):
         started = time.perf_counter()
-        tasks = make_point_tasks(spec, library=library)
-        outcomes = map_tasks(_inject_point, tasks, jobs=jobs, pool=pool)
-        rows = []
-        for outcome in outcomes:
-            obs_trace.adopt(outcome["trace"])
-            obs_metrics.registry().merge(outcome["obs_metrics"])
-            rows.append(outcome["row"])
+        rows = map_tasks(_inject_point, make_point_tasks(spec, library),
+                         jobs=jobs, pool=pool)
         prelude = _prelude(spec, library=library)
         with obs_trace.span("inject.arms", component=spec.component):
             approximation, guardbanded = _arms(spec, prelude)
@@ -524,18 +381,3 @@ def run_campaign(spec, library=None, jobs=None, pool=None):
             gates=prelude.program.n_gates, vectors=int(spec.vectors),
             fresh_clock_ps=prelude.fresh_clock_ps, labels=prelude.labels,
             rows=rows, approximation=approximation, guardbanded=guardbanded)
-
-
-def _inject_campaign(task):
-    """Module-level whole-campaign worker for the served path.
-
-    Mirrors :func:`repro.core.characterize._characterize_point`'s
-    shipping contract: runs under its own tracer/registry and returns
-    them alongside the result for the event loop to adopt/merge.
-    """
-    with obs_trace.capture() as tracer, obs_metrics.scoped() as registry:
-        with obs_trace.propagated(task.get("trace")):
-            spec = CampaignSpec.from_dict(task["spec"])
-            result = run_campaign(spec, jobs=1)
-    return {"campaign": result.to_dict(), "trace": tracer.to_dicts(),
-            "obs_metrics": registry.snapshot()}

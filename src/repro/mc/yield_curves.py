@@ -21,6 +21,9 @@ whose yield still clears a target (``min_yield``). This module turns
   on candidates near a feasibility boundary — refusing to report a K
   that was not exactly evaluated.
 
+The spec format, corner grid and synthesis/STA prelude are the shared
+:mod:`repro.core.grid` kernel.
+
 Determinism: results are bit-identical across ``--jobs N``, worker
 pools and the served ``/v1/mc`` path. Draws are keyed by ``(seed, gate
 uid, absolute sample index)`` (:mod:`repro.mc.variation`), blocks are
@@ -37,26 +40,18 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..aging.bti import SECONDS_PER_YEAR
-from ..cells.library import default_library
+from ..core.grid import GridPrelude, GridSpec, grid_prelude, memoized_prelude
 from ..core.parallel import map_tasks
-from ..core.specs import (SpecError, parse_component, parse_effort,
-                          parse_scenario)
+from ..core.specs import SpecError
 from ..obs import logs, metrics as obs_metrics, trace as obs_trace
-from ..sta.engine import (_critical_paths, _propagate, analyze_batch,
-                          compile_timing, cone_plan, corner_delays,
-                          corner_label, corner_stress, replay_cone,
+from ..sta.engine import (_critical_paths, _propagate, cone_plan,
+                          corner_delays, corner_stress, replay_cone,
                           truncated_input_nets)
-from ..synth.synthesize import synthesize_netlist
 from .engine import DEFAULT_BLOCK, sample_blocks
 from .surrogate import cross_validate, fit_surrogate, pick_degree
 from .variation import VariationModel
 
 _log = logs.get_logger("mc.yield")
-
-#: Spec fields accepted by :meth:`MCSpec.from_dict`.
-_SPEC_FIELDS = ("component", "scenarios", "clock_scales", "sigma_mv",
-                "samples", "seed", "sweep_bits", "min_yield", "effort",
-                "width", "block", "surrogate")
 
 #: Surrogate feature/target vocabularies (see :func:`_features`).
 _FEATURES = ("det_cp_ps", "alive_gates", "stress_mean", "stress_rms",
@@ -65,52 +60,35 @@ _TARGETS = ("q_ps", "p50_ps")
 
 
 @dataclass(frozen=True)
-class MCSpec:
+class MCSpec(GridSpec):
     """One reproducible Monte Carlo yield analysis.
 
-    ``scenarios`` are textual corner specs (``fresh``, ``worst10y``,
-    ``10y_worst``); ``clock_scales`` multiply the deterministic fresh
-    full-precision critical path, so ``1.0`` is the guardband-free
-    clock. ``sweep_bits`` truncation depths below full width are
-    analyzed; ``min_yield`` is the yield floor defining K.
+    The shared grid fields are :class:`repro.core.grid.GridSpec`'s;
+    ``clock_scales`` multiply the deterministic fresh full-precision
+    critical path. ``sweep_bits`` truncation depths below full width
+    are analyzed over ``samples`` variation draws of ``sigma_mv``,
+    ``block`` samples per task; ``min_yield`` is the yield floor
+    defining K.
     """
 
-    component: str
-    scenarios: Tuple[str, ...] = ("worst10y",)
-    clock_scales: Tuple[float, ...] = (1.0,)
     sigma_mv: float = 30.0
     samples: int = 2000
-    seed: int = 20170618
     sweep_bits: int = 8
     min_yield: float = 0.99
-    effort: str = "high"
-    width: Optional[int] = None
     block: int = DEFAULT_BLOCK
     surrogate: str = "off"
 
+    kind = "mc"
+
     def validated(self):
         """Parse/normalize every field; raises :class:`SpecError`."""
-        parse_component(self.component, width=self.width)
-        parse_effort(self.effort)
-        labels = [corner_label(parse_scenario(s)) for s in self.scenarios]
-        if not labels:
-            raise SpecError("mc spec needs at least one scenario")
-        if len(set(labels)) != len(labels):
-            raise SpecError("duplicate scenarios in %r" % (self.scenarios,))
-        if not self.clock_scales:
-            raise SpecError("mc spec needs at least one clock scale")
-        if any(not (0.0 < float(s) <= 4.0) for s in self.clock_scales):
-            raise SpecError("clock scales must be in (0, 4], got %r"
-                            % (self.clock_scales,))
+        super().validated()
         if not (0.0 <= float(self.sigma_mv) <= 50.0):
             raise SpecError("sigma_mv must be in [0, 50] mV, got %r"
                             % (self.sigma_mv,))
         if int(self.samples) < 1:
             raise SpecError("samples must be >= 1, got %r"
                             % (self.samples,))
-        if int(self.seed) < 0:
-            raise SpecError("seed must be non-negative, got %r"
-                            % (self.seed,))
         if int(self.sweep_bits) < 0:
             raise SpecError("sweep_bits must be >= 0, got %r"
                             % (self.sweep_bits,))
@@ -123,59 +101,6 @@ class MCSpec:
             raise SpecError("surrogate must be 'off' or 'screen', got %r"
                             % (self.surrogate,))
         return self
-
-    def to_dict(self):
-        """JSON-serializable form (see :meth:`from_dict`)."""
-        return {
-            "component": self.component,
-            "scenarios": list(self.scenarios),
-            "clock_scales": [float(s) for s in self.clock_scales],
-            "sigma_mv": float(self.sigma_mv),
-            "samples": int(self.samples),
-            "seed": int(self.seed),
-            "sweep_bits": int(self.sweep_bits),
-            "min_yield": float(self.min_yield),
-            "effort": self.effort,
-            "width": self.width,
-            "block": int(self.block),
-            "surrogate": self.surrogate,
-        }
-
-    @classmethod
-    def from_dict(cls, data):
-        """Inverse of :meth:`to_dict`; unknown fields are an error."""
-        if not isinstance(data, dict):
-            raise SpecError("mc spec must be an object, got %r"
-                            % type(data).__name__)
-        unknown = sorted(set(data) - set(_SPEC_FIELDS))
-        if unknown:
-            raise SpecError("unknown mc spec fields: %s"
-                            % ", ".join(unknown))
-        if "component" not in data:
-            raise SpecError("mc spec needs a component")
-        kwargs = dict(data)
-        if "scenarios" in kwargs:
-            kwargs["scenarios"] = tuple(str(s) for s in kwargs["scenarios"])
-        if "clock_scales" in kwargs:
-            kwargs["clock_scales"] = tuple(
-                float(s) for s in kwargs["clock_scales"])
-        for key in ("samples", "seed", "sweep_bits", "block"):
-            if key in kwargs:
-                kwargs[key] = int(kwargs[key])
-        for key in ("sigma_mv", "min_yield"):
-            if key in kwargs:
-                kwargs[key] = float(kwargs[key])
-        if kwargs.get("width") is not None:
-            kwargs["width"] = int(kwargs["width"])
-        return cls(**kwargs).validated()
-
-    def key(self):
-        """Stable fingerprint for per-process prelude memoization."""
-        return (self.component, tuple(self.scenarios),
-                tuple(float(s) for s in self.clock_scales),
-                float(self.sigma_mv), int(self.samples), int(self.seed),
-                int(self.sweep_bits), float(self.min_yield), self.effort,
-                self.width, int(self.block), self.surrogate)
 
     def variation(self):
         """The :class:`VariationModel` this spec draws from."""
@@ -226,14 +151,7 @@ class MCResult:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _Prelude:
-    component: object
-    netlist: object
-    program: object
-    corners: tuple
-    labels: tuple
-    batch: object
-    fresh_clock_ps: float
+class _Prelude(GridPrelude):
     precisions: tuple
     plans: dict         # precision -> ConePlan (None at full precision)
     det_cp: dict        # precision -> (C,) deterministic aged CPs
@@ -241,35 +159,14 @@ class _Prelude:
     stress_mean: np.ndarray   # (C,) mean per-gate stress duty
     stress_rms: np.ndarray    # (C,) rms per-gate stress duty
     age_factor: np.ndarray    # (C,) lifetime feature t_sec**(1/6)
-    library: object
-
-
-_PRELUDE_MEMO = {}
-_PRELUDE_MEMO_LIMIT = 4
-
-
-def _mc_corners(spec):
-    """Corner grid: fresh first (defines the guardband-free clock),
-    then the spec's scenarios in order, deduplicated by label."""
-    corners = [parse_scenario("fresh")]
-    labels = ["fresh"]
-    for text in spec.scenarios:
-        scenario = parse_scenario(text)
-        label = corner_label(scenario)
-        if label not in labels:
-            corners.append(scenario)
-            labels.append(label)
-    return tuple(corners), tuple(labels)
 
 
 def _build_prelude(spec, library):
-    component = parse_component(spec.component, width=spec.width)
-    lib = library if library is not None else default_library()
-    netlist = synthesize_netlist(component, lib, effort=spec.effort)
-    program = compile_timing(netlist, lib)
-    corners, labels = _mc_corners(spec)
-    batch = analyze_batch(netlist, lib, corners, program=program)
-    fresh_clock = float(batch.critical_path_ps[0])
+    """The grid prelude plus per-precision cone plans, deterministic
+    CPs and the surrogate's stress/lifetime features."""
+    base = grid_prelude(spec, library)
+    component, netlist, program = base.component, base.netlist, base.program
+    batch = base.batch
     low = max(1, component.width - int(spec.sweep_bits))
     precisions = tuple(range(component.width, low - 1, -1))
     plans, det_cp, alive = {}, {}, {}
@@ -285,34 +182,23 @@ def _build_prelude(spec, library):
             arr = replay_cone(plan, batch.arrivals, batch.delays)
             det_cp[precision] = _critical_paths(program, arr)
             alive[precision] = program.n_gates - int(plan.dropped.sum())
-    sp, sn, years = corner_stress(program, corners)
+    sp, sn, years = corner_stress(program, base.corners)
     duty = (sp + sn) / 2.0
     if program.n_gates:
         stress_mean = duty.mean(axis=0)
         stress_rms = np.sqrt((duty * duty).mean(axis=0))
     else:
-        stress_mean = np.zeros(len(corners))
-        stress_rms = np.zeros(len(corners))
+        stress_mean = np.zeros(len(base.corners))
+        stress_rms = np.zeros(len(base.corners))
     age_factor = (years * SECONDS_PER_YEAR) ** (1.0 / 6.0)
-    return _Prelude(component=component, netlist=netlist, program=program,
-                    corners=corners, labels=labels, batch=batch,
-                    fresh_clock_ps=fresh_clock, precisions=precisions,
-                    plans=plans, det_cp=det_cp, alive=alive,
-                    stress_mean=stress_mean, stress_rms=stress_rms,
-                    age_factor=age_factor, library=lib)
+    return _Prelude(**vars(base), precisions=precisions, plans=plans,
+                    det_cp=det_cp, alive=alive, stress_mean=stress_mean,
+                    stress_rms=stress_rms, age_factor=age_factor)
 
 
 def _prelude(spec, library=None):
-    """Per-process memoized prelude (same recipe as
-    :func:`repro.inject.campaign._prelude`)."""
-    key = (spec.key(), "default" if library is None else id(library))
-    prelude = _PRELUDE_MEMO.get(key)
-    if prelude is None:
-        if len(_PRELUDE_MEMO) >= _PRELUDE_MEMO_LIMIT:
-            _PRELUDE_MEMO.pop(next(iter(_PRELUDE_MEMO)))
-        prelude = _build_prelude(spec, library)
-        _PRELUDE_MEMO[key] = prelude
-    return prelude
+    """Per-process memoized Monte Carlo prelude."""
+    return memoized_prelude(spec, library, _build_prelude)
 
 
 # ---------------------------------------------------------------------------
@@ -323,30 +209,28 @@ def _mc_block(task):
     """Module-level sample-block worker (shared by every path).
 
     One propagation of the full tensor block plus one cone replay per
-    requested truncation depth; returns ``(C, count)`` critical paths
-    per precision, keyed by absolute block start for ordered assembly.
+    requested truncation depth; returns ``{precision: (C, count)
+    critical paths}``.
     """
     spec = MCSpec.from_dict(task["spec"])
-    with obs_trace.capture() as tracer, obs_metrics.scoped() as registry:
-        with obs_trace.propagated(task.get("trace")), obs_trace.span(
-                "mc.block", start=task["start"], count=task["count"],
-                precisions=len(task["precisions"])):
-            prelude = _prelude(spec, library=task.get("library"))
-            program = prelude.program
-            dvth = spec.variation().gate_dvth(
-                program.gate_uids, task["start"], task["count"])
-            delays = corner_delays(program, prelude.corners, dvth=dvth)
-            arr = _propagate(program, delays)
-            cp = {}
-            for precision in task["precisions"]:
-                plan = prelude.plans[precision]
-                if plan is None:
-                    cp[int(precision)] = _critical_paths(program, arr)
-                else:
-                    arr_p = replay_cone(plan, arr, delays)
-                    cp[int(precision)] = _critical_paths(program, arr_p)
-    return {"start": task["start"], "cp": cp, "trace": tracer.to_dicts(),
-            "obs_metrics": registry.snapshot()}
+    with obs_trace.span("mc.block", start=task["start"],
+                        count=task["count"],
+                        precisions=len(task["precisions"])):
+        prelude = _prelude(spec, library=task.get("library"))
+        program = prelude.program
+        dvth = spec.variation().gate_dvth(
+            program.gate_uids, task["start"], task["count"])
+        delays = corner_delays(program, prelude.corners, dvth=dvth)
+        arr = _propagate(program, delays)
+        cp = {}
+        for precision in task["precisions"]:
+            plan = prelude.plans[precision]
+            if plan is None:
+                cp[int(precision)] = _critical_paths(program, arr)
+            else:
+                arr_p = replay_cone(plan, arr, delays)
+                cp[int(precision)] = _critical_paths(program, arr_p)
+    return cp
 
 
 def _exact_cp(spec, library, precisions, jobs, pool, prelude):
@@ -363,21 +247,15 @@ def _exact_cp(spec, library, precisions, jobs, pool, prelude):
     if spec.variation().is_zero:
         return {p: np.repeat(prelude.det_cp[p][:, None], spec.samples,
                              axis=1) for p in precisions}
-    ctx = obs_trace.propagation_context()
     tasks = [{"spec": spec.to_dict(), "start": start, "count": count,
-              "precisions": precisions, "trace": ctx, "library": library}
+              "precisions": precisions, "library": library}
              for start, count in sample_blocks(spec.samples, spec.block)]
-    outcomes = map_tasks(_mc_block, tasks, jobs=jobs, pool=pool)
-    parts = {p: [] for p in precisions}
-    for outcome in outcomes:
-        obs_trace.adopt(outcome["trace"])
-        obs_metrics.registry().merge(outcome["obs_metrics"])
-        for p in precisions:
-            parts[p].append(outcome["cp"][p])
+    blocks = map_tasks(_mc_block, tasks, jobs=jobs, pool=pool)
     obs_metrics.inc(obs_metrics.MC_SAMPLES,
                     int(spec.samples) * len(precisions))
     obs_metrics.inc(obs_metrics.MC_BLOCKS, len(tasks))
-    return {p: np.concatenate(parts[p], axis=1) for p in precisions}
+    return {p: np.concatenate([cp[p] for cp in blocks], axis=1)
+            for p in precisions}
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +383,7 @@ def run_mc(spec, library=None, jobs=None, pool=None):
                         sigma_mv=float(spec.sigma_mv)):
         started = time.perf_counter()
         prelude = _prelude(spec, library=library)
-        ladder = [corner_label(parse_scenario(s)) for s in spec.scenarios]
+        ladder = spec.labels()
         precisions = prelude.precisions
         surrogate_info = None
         predictions = {}
@@ -607,13 +485,3 @@ def run_mc(spec, library=None, jobs=None, pool=None):
             fresh_clock_ps=prelude.fresh_clock_ps, labels=prelude.labels,
             precisions=precisions, rows=rows, k_rows=k_rows,
             surrogate=surrogate_info)
-
-
-def _mc_job(task):
-    """Module-level whole-run worker for the served ``/v1/mc`` path."""
-    with obs_trace.capture() as tracer, obs_metrics.scoped() as registry:
-        with obs_trace.propagated(task.get("trace")):
-            spec = MCSpec.from_dict(task["spec"])
-            result = run_mc(spec, jobs=1)
-    return {"mc": result.to_dict(), "trace": tracer.to_dicts(),
-            "obs_metrics": registry.snapshot()}

@@ -175,21 +175,6 @@ class Histogram:
         self.min = value if self.min is None else min(self.min, value)
         self.max = value if self.max is None else max(self.max, value)
 
-    def add_aggregate(self, count, total):
-        """Fold *count* pre-aggregated observations summing to *total*.
-
-        Used when only aggregate data survives; the bucket credit goes
-        to the mean value.
-        """
-        if count <= 0:
-            return
-        mean = total / count
-        self.buckets[bisect.bisect_left(self.boundaries, mean)] += count
-        self.count += count
-        self.sum += total
-        self.min = mean if self.min is None else min(self.min, mean)
-        self.max = mean if self.max is None else max(self.max, mean)
-
     @property
     def mean(self):
         return self.sum / self.count if self.count else 0.0

@@ -17,8 +17,9 @@ Request lifecycle of a characterization query:
    (:class:`~repro.core.parallel.WorkerPool`) via the same
    ``_characterize_point`` worker the library's ``characterize()``
    dispatches — results are bit-identical by construction, and the
-   worker's span tree / metric snapshot are re-parented into the
-   server's trace (:func:`repro.obs.trace.adopt`).
+   worker runs under :func:`repro.core.parallel.ship`, so its span
+   tree / metric snapshot land in the server's trace and registry
+   (:func:`repro.core.parallel.land`).
 
 Endpoints
 ---------
@@ -31,18 +32,14 @@ Endpoints
     Same query, but streams one NDJSON point record per chunk *as grid
     points complete* (completion order), then a ``{"done": true}``
     summary line.
-``POST /v1/inject``
-    A fault-injection campaign spec
-    (:meth:`repro.inject.CampaignSpec.to_dict`); runs the campaign in
-    a pool worker and answers with the full
-    :meth:`~repro.inject.CampaignResult.to_dict` — bit-identical to an
-    in-process ``run_campaign`` of the same spec.
-``POST /v1/mc``
-    A Monte Carlo yield-analysis spec
-    (:meth:`repro.mc.MCSpec.to_dict`); runs the sampled sweep in a
-    pool worker and answers with the full
-    :meth:`~repro.mc.MCResult.to_dict` — bit-identical to an
-    in-process ``run_mc`` of the same spec.
+``POST /v1/inject``, ``POST /v1/mc``
+    A grid-campaign spec — fault injection
+    (:meth:`repro.inject.CampaignSpec.to_dict`) or Monte Carlo yield
+    analysis (:meth:`repro.mc.MCSpec.to_dict`); runs the whole grid in
+    one pool worker and answers with the full result dict under
+    ``"campaign"`` or ``"mc"`` — bit-identical to an in-process
+    ``run_campaign`` / ``run_mc`` of the same spec. A spec that does
+    not parse answers 400.
 ``GET /v1/stats``
     Serving counters: requests, in-flight dedup hits, tier hit ratios,
     queue depth, latency percentiles (p50/p95/p99), cache stats, SLO
@@ -81,10 +78,13 @@ import signal
 import time
 import urllib.parse
 from collections import OrderedDict
+from functools import partial
 
 from ..core import cache as cache_mod
 from ..core.characterize import _characterize_point, component_key
-from ..core.parallel import WorkerPool
+from ..core.grid import run_whole
+from ..core.parallel import WorkerPool, land, ship
+from ..core.specs import SpecError
 from ..obs import (logs, metrics as obs_metrics, profile as obs_profile,
                    slo as obs_slo, timeseries as obs_timeseries,
                    trace as obs_trace)
@@ -525,12 +525,9 @@ class CharacterizationServer:
         elif path == "/v1/batch":
             self._require(request, "POST")
             keep = await self._stream_batch(request, writer, keep)
-        elif path == "/v1/inject":
+        elif path in ("/v1/inject", "/v1/mc"):
             self._require(request, "POST")
-            keep = await self._inject(request, writer, keep)
-        elif path == "/v1/mc":
-            self._require(request, "POST")
-            keep = await self._mc(request, writer, keep)
+            keep = await self._grid(path, request, writer, keep)
         elif path == "/v1/shutdown":
             self._require(request, "POST")
             self._respond(writer, 200, {"status": "shutting down"},
@@ -642,8 +639,9 @@ class CharacterizationServer:
                 self._count_source("dedup")
                 if span is not None:
                     span.attrs["source"] = "dedup"
-                result = await asyncio.shield(inflight)
-                return protocol.record_from_result(task, result, "dedup")
+                outcome = await asyncio.shield(inflight)
+                return protocol.record_from_result(
+                    task, outcome["payload"], "dedup")
 
             entry, tier = self.cache.load_with_source(key, require=fps)
             if entry is not None and all(fp in entry["aged"] for fp in fps):
@@ -663,9 +661,9 @@ class CharacterizationServer:
             worker_task = dict(task, trace=ctx) if ctx is not None \
                 else task
             loop = asyncio.get_running_loop()
-            future = loop.run_in_executor(self.pool.executor,
-                                          _characterize_point,
-                                          worker_task)
+            future = loop.run_in_executor(
+                self.pool.executor, partial(ship, _characterize_point),
+                worker_task)
             if self.dedup:
                 self._inflight[flight] = future
             self._queue_depth += 1
@@ -679,13 +677,12 @@ class CharacterizationServer:
                     obs_metrics.SERVE_QUEUE_DEPTH).set(self._queue_depth)
 
             future.add_done_callback(_done)
-            result = await asyncio.shield(future)
+            outcome = await asyncio.shield(future)
             self._registry.counter(obs_metrics.SERVE_COMPUTES).inc()
             self._count_source("computed")
             # Re-parent the worker's span tree and fold its metrics and
             # cache accounting into the server session.
-            obs_trace.adopt(result["trace"])
-            self._registry.merge(result["obs_metrics"])
+            result = land(outcome, self._registry)
             if result.get("cache_stats"):
                 self.cache.stats.merge(result["cache_stats"])
             # The worker stored the entry out of process: pull it into
@@ -695,74 +692,33 @@ class CharacterizationServer:
                 span.attrs["source"] = "computed"
             return protocol.record_from_result(task, result, "computed")
 
-    async def _inject(self, request, writer, keep):
-        """``/v1/inject``: one fault-injection campaign per request.
+    async def _grid(self, path, request, writer, keep):
+        """``/v1/inject`` and ``/v1/mc``: one whole grid run per request.
 
-        The whole campaign runs in a single pool worker
-        (:func:`repro.inject.campaign._inject_campaign`); its result is
-        deterministic from the spec, so the served answer is
-        bit-identical to an in-process ``run_campaign`` — the
-        determinism suite compares the two verbatim.
+        The spec is validated on the event loop (a bad one answers 400),
+        then the whole run executes in a single pool worker
+        (:func:`repro.core.grid.run_whole`). Its result is deterministic
+        from the spec, so the served answer is bit-identical to an
+        in-process run at any ``--jobs``.
         """
-        from ..core.specs import SpecError
-        from ..inject import CampaignSpec
-        from ..inject.campaign import _inject_campaign
-
+        result_key, spec_type, run = _grid_arm(path)
         try:
             payload = json.loads(request.body.decode("utf-8"))
         except (UnicodeDecodeError, ValueError):
             raise protocol.ProtocolError("request body is not valid JSON")
         try:
-            # Validate on the event loop so bad specs answer 400.
-            spec = CampaignSpec.from_dict(payload)
+            spec = spec_type.from_dict(payload)
         except SpecError as exc:
             raise protocol.ProtocolError(str(exc))
-        ctx = obs_trace.propagation_context()
-        task = {"spec": spec.to_dict(), "trace": ctx}
+        task = {"spec": spec.to_dict(), "spec_type": spec_type, "run": run,
+                "trace": obs_trace.propagation_context()}
         loop = asyncio.get_running_loop()
         future = loop.run_in_executor(self.pool.executor,
-                                      _inject_campaign, task)
-        result = await asyncio.shield(future)
-        obs_trace.adopt(result["trace"])
-        self._registry.merge(result["obs_metrics"])
+                                      partial(ship, run_whole), task)
+        result = land(await asyncio.shield(future), self._registry)
         self._respond(writer, 200, {
             "protocol": protocol.PROTOCOL_VERSION,
-            "campaign": result["campaign"],
-        }, keep=keep)
-        return keep
-
-    async def _mc(self, request, writer, keep):
-        """``/v1/mc``: one Monte Carlo yield analysis per request.
-
-        The whole run executes in a single pool worker
-        (:func:`repro.mc.yield_curves._mc_job`); the result is
-        deterministic from the spec (per-gate Philox streams indexed by
-        absolute sample position), so the served answer is bit-identical
-        to an in-process ``run_mc`` at any ``--jobs``.
-        """
-        from ..core.specs import SpecError
-        from ..mc import MCSpec
-        from ..mc.yield_curves import _mc_job
-
-        try:
-            payload = json.loads(request.body.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
-            raise protocol.ProtocolError("request body is not valid JSON")
-        try:
-            # Validate on the event loop so bad specs answer 400.
-            spec = MCSpec.from_dict(payload)
-        except SpecError as exc:
-            raise protocol.ProtocolError(str(exc))
-        ctx = obs_trace.propagation_context()
-        task = {"spec": spec.to_dict(), "trace": ctx}
-        loop = asyncio.get_running_loop()
-        future = loop.run_in_executor(self.pool.executor, _mc_job, task)
-        result = await asyncio.shield(future)
-        obs_trace.adopt(result["trace"])
-        self._registry.merge(result["obs_metrics"])
-        self._respond(writer, 200, {
-            "protocol": protocol.PROTOCOL_VERSION,
-            "mc": result["mc"],
+            result_key: result,
         }, keep=keep)
         return keep
 
@@ -893,6 +849,15 @@ class CharacterizationServer:
                 "dedup": self.dedup,
             },
         }
+
+
+def _grid_arm(path):
+    """``(response key, spec class, runner)`` of a grid endpoint."""
+    if path == "/v1/inject":
+        from ..inject.campaign import CampaignSpec, run_campaign
+        return "campaign", CampaignSpec, run_campaign
+    from ..mc.yield_curves import MCSpec, run_mc
+    return "mc", MCSpec, run_mc
 
 
 class _Routed(Exception):

@@ -496,15 +496,14 @@ def check_injection(component, library, years=(1.0, 10.0),
     * the packed XOR injector agrees bit-for-bit with the scalar uint8
       reference injector on the most aggressive grid point.
     """
+    from ..core.specs import component_spec
     from ..inject import CampaignSpec, run_campaign
-    from ..inject.campaign import _prelude, component_spec
+    from ..inject.campaign import _prelude
     from ..inject.faultload import build_faultload
     from ..inject.inject_sim import (evaluate_bytes_injected,
                                      evaluate_packed_injected,
                                      unpack_op_masks)
     from ..sim.logic import evaluate
-    from ..core.specs import parse_scenario
-    from ..sta.engine import corner_label
 
     years = sorted(years)
     scales = sorted(clock_scales, reverse=True)
@@ -514,7 +513,7 @@ def check_injection(component, library, years=(1.0, 10.0),
                         clock_scales=tuple(scales), vectors=vectors,
                         seed=seed, effort=effort, stimulus=stimulus)
     result = run_campaign(spec, library=library)
-    labels = [corner_label(parse_scenario(s)) for s in spec.scenarios]
+    labels = spec.labels()
     by_point = {(r["scenario"], r["clock_scale"]): r for r in result.rows}
 
     fresh_row = by_point[("fresh", scales[0])]
@@ -609,10 +608,9 @@ def check_mc(component, library, years=(1.0, 10.0),
       evaluated row (critical paths are maxima over many gate sums, a
       right-skewed family).
     """
-    from ..core.specs import parse_scenario
-    from ..inject.campaign import component_spec
+    from ..core.specs import component_spec, parse_scenario
     from ..mc import MCSpec, VariationModel, analyze_mc, run_mc
-    from ..sta.engine import analyze_batch, corner_label
+    from ..sta.engine import analyze_batch
     from ..synth.synthesize import synthesize_netlist
 
     years = sorted(years)
@@ -661,7 +659,7 @@ def check_mc(component, library, years=(1.0, 10.0),
 
     exact = {(row["precision"], row["scenario"], row["clock_scale"]): row
              for row in r1.rows if row["exact"]}
-    labels = [corner_label(parse_scenario(s)) for s in scenarios]
+    labels = spec.labels()
     bad = []
     for precision in r1.precisions:
         for scale in scales:

@@ -4,10 +4,11 @@ Covers the Philox draw streams (determinism, prefix stability,
 partition independence, domain separation from the fault-mask
 streams), the sample-axis batched engine (zero-sigma bit-identity,
 block independence, agreement with the scalar-loop oracle), the memo
-bypass on the sampled path, spec validation, ``run_mc`` jobs
-determinism plus the surrogate screen, the ``repro mc`` CLI, the
-report renderer, the served ``/v1/mc`` endpoint and the ``mc.*``
-observability metrics.
+bypass on the sampled path, spec validation (for both grid arms, whose
+specs share ``repro.core.grid.GridSpec``), ``run_mc`` jobs determinism
+plus the surrogate screen, the ``repro mc`` CLI, the report renderer
+and the ``mc.*`` observability metrics. The served ``/v1/mc`` endpoint
+is covered in ``test_grid.py``.
 """
 
 import json
@@ -19,6 +20,7 @@ from repro import cli
 from repro.aging.bti import DEFAULT_BTI
 from repro.aging.delay import clear_multiplier_memo, multiplier_memo_info
 from repro.core.specs import SpecError, parse_scenario
+from repro.inject import CampaignSpec
 from repro.inject import masks as inject_masks
 from repro.mc import (DEFAULT_BLOCK, MCSpec, SAMPLE_CHUNK, VariationModel,
                       analyze_mc, analyze_mc_reference, cross_validate,
@@ -202,13 +204,20 @@ class TestMemoBypass:
 
 
 class TestMCSpec:
+    """Spec wire format of both grid arms: ``MCSpec`` and
+    ``CampaignSpec`` share :class:`repro.core.grid.GridSpec`."""
+
     def test_round_trip(self):
-        spec = MCSpec(component="adder8", scenarios=SCENARIOS,
-                      clock_scales=(1.0, 0.97), samples=64, seed=3,
-                      sweep_bits=2, effort="high").validated()
-        again = MCSpec.from_dict(spec.to_dict())
-        assert again == spec
-        assert again.key() == spec.key()
+        for spec in (
+                MCSpec(component="adder8", scenarios=SCENARIOS,
+                       clock_scales=(1.0, 0.97), samples=64, seed=3,
+                       sweep_bits=2, effort="high").validated(),
+                CampaignSpec(component="adder8", scenarios=SCENARIOS,
+                             clock_scales=(1.0, 0.95), vectors=512, seed=7,
+                             effort="high").validated()):
+            again = type(spec).from_dict(spec.to_dict())
+            assert again == spec
+            assert again.key() == spec.key()
 
     def test_variation_model(self):
         spec = MCSpec(component="adder8", sigma_mv=12.5, seed=11)
@@ -216,32 +225,51 @@ class TestMCSpec:
         assert model.sigma_mv == 12.5 and model.seed == 11
 
     @pytest.mark.parametrize("patch", [
-        {"bogus": 1},
-        {"scenarios": []},
-        {"scenarios": ["fresh", "fresh"]},
-        {"clock_scales": []},
-        {"clock_scales": [0.0]},
-        {"sigma_mv": -1.0},
-        {"sigma_mv": 60.0},
-        {"samples": 0},
-        {"seed": -1},
-        {"sweep_bits": -1},
-        {"min_yield": 0.0},
-        {"block": 0},
-        {"surrogate": "always"},
-        {"effort": "warp"},
+        (MCSpec, {"bogus": 1}),
+        (MCSpec, {"scenarios": []}),
+        (MCSpec, {"scenarios": ["fresh", "fresh"]}),
+        (MCSpec, {"clock_scales": []}),
+        (MCSpec, {"clock_scales": [0.0]}),
+        (MCSpec, {"sigma_mv": -1.0}),
+        (MCSpec, {"sigma_mv": 60.0}),
+        (MCSpec, {"samples": 0}),
+        (MCSpec, {"seed": -1}),
+        (MCSpec, {"sweep_bits": -1}),
+        (MCSpec, {"min_yield": 0.0}),
+        (MCSpec, {"block": 0}),
+        (MCSpec, {"surrogate": "always"}),
+        (MCSpec, {"effort": "warp"}),
+        (CampaignSpec, {"bogus": 1}),
+        (CampaignSpec, {"scenarios": []}),
+        (CampaignSpec, {"clock_scales": [5.0]}),
+        (CampaignSpec, {"vectors": 0}),
+        (CampaignSpec, {"activity": 1.5}),
+        (CampaignSpec, {"stimulus": "bogus"}),
+        # Mistyped values: a failed coercion is a SpecError too.
+        (CampaignSpec, {"vectors": "abc"}),
+        (MCSpec, {"samples": "abc"}),
+        (CampaignSpec, {"clock_scales": ["x"]}),
+        (MCSpec, {"clock_scales": ["x"]}),
+        (CampaignSpec, {"scenarios": 5}),
+        (MCSpec, {"scenarios": 5}),
+        (CampaignSpec, {"width": "w"}),
+        (MCSpec, {"width": "w"}),
+        (CampaignSpec, {"seed": None}),
+        (MCSpec, {"seed": None}),
     ])
     def test_rejects_bad_specs(self, patch):
-        base = MCSpec(component="adder8", samples=16).to_dict()
-        base.update(patch)
+        spec_type, fields = patch
+        base = spec_type(component="adder8").to_dict()
+        base.update(fields)
         with pytest.raises(SpecError):
-            MCSpec.from_dict(base)
+            spec_type.from_dict(base)
 
     def test_needs_component(self):
-        with pytest.raises(SpecError):
-            MCSpec.from_dict({"samples": 16})
-        with pytest.raises(SpecError):
-            MCSpec.from_dict([1, 2])
+        for spec_type in (MCSpec, CampaignSpec):
+            with pytest.raises(SpecError):
+                spec_type.from_dict({"seed": 16})
+            with pytest.raises(SpecError):
+                spec_type.from_dict([1, 2])
 
 
 class TestSurrogate:

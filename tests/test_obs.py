@@ -323,14 +323,6 @@ class TestMetrics:
         with pytest.raises(ValueError, match="strictly increasing"):
             obs_metrics.Histogram(boundaries=(2.0, 1.0))
 
-    def test_add_aggregate_credits_mean_bucket(self):
-        h = obs_metrics.Histogram(boundaries=(1.0, 10.0))
-        h.add_aggregate(4, 8.0)  # mean 2.0 -> middle bucket
-        assert h.buckets == [0, 4, 0]
-        assert h.count == 4 and h.sum == 8.0
-        h.add_aggregate(0, 123.0)  # ignored
-        assert h.count == 4
-
     def test_scoped_registry_isolation(self):
         obs_metrics.inc("test.outer")
         default_before = obs_metrics.registry().value("test.outer")

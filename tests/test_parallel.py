@@ -227,6 +227,20 @@ class TestInstrumentation:
                   if s.name == "characterize.point"]
         assert {s.pid for s in points} - {os.getpid()}
 
+    @pytest.mark.parametrize("persistent", [False, True])
+    def test_worker_spans_land_under_the_fan_out_span(self, lib,
+                                                       persistent):
+        with WorkerPool(2) as pool, obs_trace.capture() as tracer:
+            characterize(Adder(6), lib, scenarios=[worst_case(10)],
+                         precisions=[6, 5], effort="high", jobs=2,
+                         pool=pool if persistent else None, cache=None)
+        points = [(s, parent) for s, __, parent in tracer.walk()
+                  if s.name == "characterize.point"]
+        assert len(points) == 2
+        for span_, parent in points:
+            assert parent.name == "parallel.map"
+            assert parent.span_id == span_.parent_id
+
     def test_report_text(self, lib, tmp_path):
         cache = CharacterizationCache(tmp_path)
         with obs_trace.capture() as tracer:
